@@ -11,6 +11,7 @@ import sys
 import time
 
 from . import experiments
+from .data import PARTITION_SCHEMES
 from .errors import ConfigError, DataError
 
 
@@ -44,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="same MLP trained centrally and federatedly; "
                             "per-round series plus final metric deltas")
     _add_common(p)
-    p.add_argument("--scheme", choices=("iid", "quantity_skew", "label_skew"),
+    p.add_argument("--scheme", choices=PARTITION_SCHEMES,
                    help="client partition scheme")
 
     p = sub.add_parser("gen-synthetic",

@@ -17,6 +17,7 @@ from .errors import DataError, DomainError
 from .numeric import Rng
 
 DEFAULT_LABEL_COLUMN = "Class"
+PARTITION_SCHEMES = ("iid", "quantity_skew", "label_skew")
 
 
 @dataclass(frozen=True)
@@ -84,9 +85,10 @@ def load_csv(path, label_column: str = DEFAULT_LABEL_COLUMN,
         feat_idx = [header.index(c) for c in feature_columns]
         label_idx = header.index(label_column)
 
-        feats, labels = [], []
+        feats, labels, blank_rows = [], [], []
         for row_no, row in enumerate(reader, start=2):
             if not row:
+                blank_rows.append(row_no)
                 continue
             try:
                 feats.append([float(row[i]) for i in feat_idx])
@@ -103,6 +105,13 @@ def load_csv(path, label_column: str = DEFAULT_LABEL_COLUMN,
             labels.append(int(lab))
 
     features = np.asarray(feats, dtype=np.float64).reshape(len(labels), len(feat_idx))
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad.size:
+        row_no = int(bad[0]) + 2
+        for blank in blank_rows:  # ascending; skipped rows shift the numbering
+            if blank <= row_no:
+                row_no += 1
+        raise DataError(f"{path}: row {row_no}: non-finite feature cell")
     return Dataset(features, np.asarray(labels, dtype=np.intp), tuple(feature_columns))
 
 

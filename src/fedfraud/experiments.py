@@ -77,6 +77,14 @@ class ExperimentConfig:
             raise ConfigError(f"sweep_model: unknown model {self.sweep_model!r}")
         if self.threads < 1:
             raise ConfigError(f"threads: must be >= 1, got {self.threads}")
+        if self.partition_scheme not in datamod.PARTITION_SCHEMES:
+            raise ConfigError(
+                f"partition_scheme: expected one of {', '.join(datamod.PARTITION_SCHEMES)}, "
+                f"got {self.partition_scheme!r}")
+        try:
+            self.fed_config()  # also builds hyperparams()
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def hyperparams(self, epochs: int | None = None) -> models.MlpHyperparams:
         return models.MlpHyperparams(

@@ -74,12 +74,17 @@ def roc_auc(probs, labels):
 
     Returns (curve, auc) where curve is an (m, 2) array of (FPR, TPR) points
     including (0,0) and (1,1). Grouping ties makes the trapezoid area equal
-    the pairwise concordance probability (ties counted half).
+    the pairwise concordance probability (ties counted half). Raises
+    DomainError on a non-finite score or when a class is absent.
     """
     scores = np.asarray(probs, dtype=np.float64).ravel()
     labels = np.asarray(labels).ravel()
     if scores.shape != labels.shape:
         raise ShapeError(f"length mismatch: {scores.shape} vs {labels.shape}")
+    finite = np.isfinite(scores)
+    if not finite.all():
+        raise DomainError(f"ROC requires finite scores; {int(np.sum(~finite))} of "
+                          f"{scores.size} are not (first at index {int(np.argmin(finite))})")
     n_pos = int(np.sum(labels == 1))
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:

@@ -155,24 +155,52 @@ def full_batch_gradient(params: MlpParams, ds: Dataset) -> np.ndarray:
     return mlp_backward(params, caches, ds.labels)
 
 
-def sgd_epoch(params: MlpParams, ds: Dataset, hp: MlpHyperparams, rng: Rng) -> float:
-    """One epoch of mini-batch SGD, updating params in place; returns the
-    mean per-batch loss."""
+def sgd_epoch(params: MlpParams, ds: Dataset, hp: MlpHyperparams, rng: Rng) -> None:
+    """One epoch of mini-batch SGD over a random permutation of `ds`.
+
+    Works in place: each params.weights[i] / params.biases[i] array is
+    updated with `-= learning_rate * grad`, and nothing is returned. Each
+    step does the arithmetic of mlp_forward + mlp_backward in the same order,
+    so the parameters are bit-identical to `as_vector() - lr * grad` steps.
+    `ds` is only read.
+    """
     if ds.n_samples == 0:
         raise DomainError("cannot train on an empty shard")
+    if ds.n_features != params.layer_sizes[0]:
+        raise ShapeError(
+            f"input has {ds.n_features} features, model expects {params.layer_sizes[0]}"
+        )
+    features = np.asarray(ds.features, dtype=np.float64)
+    labels = np.asarray(ds.labels, dtype=np.float64)
+    weights, biases = params.weights, params.biases
+    last = len(weights) - 1
+    lr = hp.learning_rate
     order = rng.permutation(ds.n_samples)
-    losses = []
     for start in range(0, ds.n_samples, hp.batch_size):
         idx = order[start:start + hp.batch_size]
-        batch = ds.take(idx)
-        probs, caches = mlp_forward(params, batch.features)
-        losses.append(mlp_loss(probs, batch.labels))
-        grad = mlp_backward(params, caches, batch.labels)
-        vec = params.as_vector() - hp.learning_rate * grad
-        updated = MlpParams.from_vector(params.layer_sizes, vec)
-        params.weights = updated.weights
-        params.biases = updated.biases
-    return float(np.mean(losses))
+        # Forward: activations[i] is the input to layer i. A ReLU output is
+        # > 0 exactly where its pre-activation is, so it doubles as the mask.
+        activations = [features[idx]]
+        for w, b in zip(weights[:last], biases[:last]):
+            z = activations[-1] @ w
+            z += b
+            activations.append(np.maximum(z, 0.0, out=z))
+        z = activations[-1] @ weights[last]
+        z += biases[last]
+        # Backward: sigmoid + BCE collapse to dL/dz_out = (p - y) / n.
+        delta = kernels.sigmoid(z)
+        delta -= labels[idx].reshape(-1, 1)
+        delta /= idx.size
+        for i in range(last, -1, -1):
+            grad_w = activations[i].T @ delta
+            grad_b = delta.sum(axis=0)
+            if i > 0:
+                delta = delta @ weights[i].T
+                delta *= activations[i] > 0.0
+            grad_w *= lr
+            weights[i] -= grad_w
+            grad_b *= lr
+            biases[i] -= grad_b
 
 
 class MlpClassifier:

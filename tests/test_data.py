@@ -46,6 +46,14 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="row 3"):
             data.load_csv(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_reports_row(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        # The blank line still counts toward the reported row number.
+        path.write_text(f"V1,V2,Class\n1.0,2.0,0\n\n3.0,4.0,1\n5.0,{cell},0\n6.0,nan,1\n")
+        with pytest.raises(DataError, match="row 5: non-finite"):
+            data.load_csv(path)
+
     def test_non_binary_label(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("V1,Class\n1.0,2\n")

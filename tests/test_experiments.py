@@ -147,6 +147,21 @@ class TestCli:
         rc = cli.main(["benchmark", "--config", str(bad)])
         assert rc == 1
 
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", -1), ("partition_scheme", "bogus"),
+        ("aggregation_mode", "bogus"), ("batch_size", 0),
+    ])
+    def test_bad_config_value_exit_one_before_writing(self, tmp_path, capsys,
+                                                      field, value):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({field: value}))
+        out = tmp_path / "o"
+        rc = cli.main(["benchmark", "--config", str(bad), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(value) in err
+        assert not (out / "config.json").exists()
+
     def test_data_error_exit_two(self, tmp_path, capsys):
         rc = cli.main(["benchmark", "--data", str(tmp_path / "missing.csv"),
                        "--out", str(tmp_path / "o")])

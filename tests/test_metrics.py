@@ -183,3 +183,9 @@ class TestRocAuc:
     def test_single_class_rejected(self):
         with pytest.raises(DomainError):
             roc_auc([0.1, 0.9], [1, 1])
+
+    @pytest.mark.parametrize("scores", [[np.nan, 0.2, 0.3, np.nan],
+                                        [0.1, np.inf, 0.3, 0.4]])
+    def test_non_finite_scores_rejected(self, scores):
+        with pytest.raises(DomainError, match="finite"):
+            roc_auc(scores, [1, 0, 1, 0])

@@ -140,6 +140,19 @@ class TestBackward:
         assert np.linalg.norm(grad) <= 1e-6
 
 
+def reference_sgd_epoch(params, ds, hp, rng):
+    """The unfused epoch: a Dataset per batch, mlp_forward, mlp_backward, and
+    a flat-vector step rebuilt through from_vector."""
+    order = rng.permutation(ds.n_samples)
+    for start in range(0, ds.n_samples, hp.batch_size):
+        batch = ds.take(order[start:start + hp.batch_size])
+        _, caches = mlp_forward(params, batch.features)
+        grad = mlp_backward(params, caches, batch.labels)
+        vec = params.as_vector() - hp.learning_rate * grad
+        updated = MlpParams.from_vector(params.layer_sizes, vec)
+        params.weights, params.biases = updated.weights, updated.biases
+
+
 class TestSgd:
     def _toy(self):
         rng = Rng(11)
@@ -167,6 +180,34 @@ class TestSgd:
                             batch_size=ds.n_samples)
         sgd_epoch(params, ds, hp, Rng(1))
         assert np.array_equal(params.as_vector(), expected)
+
+    @pytest.mark.parametrize("hidden, n, batch_size", [
+        ((), 96, 32),        # logistic regression
+        ((16, 8), 96, 32),
+        ((16, 8), 101, 32),  # ragged last batch
+        ((4,), 23, 1),
+    ])
+    def test_bit_identical_to_reference_loop(self, hidden, n, batch_size):
+        rng = Rng(21)
+        X = rng.normal(0.0, 1.0, (n, 5))
+        y = (rng.uniform(0.0, 1.0, n) < 0.3).astype(np.intp)
+        ds = Dataset(X, y)
+        X_before, y_before = X.copy(), y.copy()
+        hp = MlpHyperparams(hidden_sizes=hidden, learning_rate=0.3,
+                            batch_size=batch_size)
+        fused = init_mlp_params(5, hidden, Rng(4))
+        reference = fused.copy()
+        for e in range(3):
+            assert sgd_epoch(fused, ds, hp, Rng(8).split(e)) is None
+            reference_sgd_epoch(reference, ds, hp, Rng(8).split(e))
+            assert np.array_equal(fused.as_vector(), reference.as_vector())
+        assert np.array_equal(ds.features, X_before)
+        assert np.array_equal(ds.labels, y_before)
+
+    def test_feature_count_mismatch(self):
+        params = init_mlp_params(3, (2,), Rng(0))
+        with pytest.raises(ShapeError):
+            sgd_epoch(params, self._toy(), MlpHyperparams(hidden_sizes=(2,)), Rng(1))
 
     def test_loss_improves_on_separable_data(self):
         ds = self._toy()
