@@ -28,6 +28,8 @@ def aggregate(contributions: Sequence[tuple[np.ndarray, int]]) -> np.ndarray:
     for i, v in enumerate(vectors):
         if v.size != length:
             raise ShapeError(f"contribution {i} has length {v.size}, expected {length}")
+        if not np.isfinite(v).all():
+            raise DomainError(f"contribution {i} has non-finite values")
     if (counts <= 0).any():
         raise DomainError("sample counts must be positive")
     weights = counts / counts.sum()

@@ -67,11 +67,16 @@ class StandardizationParams:
 
 def load_csv(path, label_column: str = DEFAULT_LABEL_COLUMN,
              feature_columns=None) -> Dataset:
-    """Load a labeled CSV (header row, numeric cells, {0,1} label column)."""
+    """Load a labeled CSV (header row, numeric cells, {0,1} label column).
+
+    The body is parsed in one np.loadtxt pass: cells may be quoted, blank
+    lines are skipped, '#' starts no comment, columns not selected are never
+    parsed and extra trailing cells are ignored. A rejected file is rescanned
+    so the DataError names its 1-based row (blank lines count).
+    """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise DataError(f"{path}: empty file, expected a header row")
         header = [h.strip().strip('"') for h in header]
@@ -85,34 +90,56 @@ def load_csv(path, label_column: str = DEFAULT_LABEL_COLUMN,
         feat_idx = [header.index(c) for c in feature_columns]
         label_idx = header.index(label_column)
 
-        feats, labels, blank_rows = [], [], []
+        try:
+            with warnings.catch_warnings():
+                # A header-only file is an empty dataset, not a warning.
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
+                                   usecols=feat_idx + [label_idx], dtype=np.float64,
+                                   ndmin=2)
+        except ValueError as exc:
+            _raise_first_bad_row(path, feat_idx, label_idx)
+            raise DataError(f"{path}: {exc}") from exc
+
+    features = np.ascontiguousarray(table[:, :-1])
+    labels = table[:, -1]
+    if not (np.isfinite(features).all() and np.isin(labels, (0.0, 1.0)).all()):
+        _raise_first_bad_row(path, feat_idx, label_idx)
+        raise DataError(f"{path}: non-finite feature cell or label not 0 or 1")
+    return Dataset(features, labels.astype(np.intp), tuple(feature_columns))
+
+
+def _cell_float(cell: str) -> float:
+    """float() narrowed to the spellings np.loadtxt accepts."""
+    text = cell.strip()
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"could not convert string to float: {cell!r}")
+    return float(text)
+
+
+def _raise_first_bad_row(path, feat_idx: list[int], label_idx: int) -> None:
+    """Rescan a file the fast parse rejected; raise DataError naming the
+    first bad row. Returns only if every row passes."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
         for row_no, row in enumerate(reader, start=2):
             if not row:
-                blank_rows.append(row_no)
                 continue
             try:
-                feats.append([float(row[i]) for i in feat_idx])
+                feats = [_cell_float(row[i]) for i in feat_idx]
             except (ValueError, IndexError) as exc:
                 raise DataError(f"{path}: row {row_no}: bad feature cell ({exc})")
             try:
-                lab = float(row[label_idx].strip().strip('"'))
+                lab = _cell_float(row[label_idx])
             except (ValueError, IndexError) as exc:
                 raise DataError(f"{path}: row {row_no}: bad label cell ({exc})")
             if lab not in (0.0, 1.0):
                 raise DataError(
                     f"{path}: row {row_no}: label must be 0 or 1, got {row[label_idx]!r}"
                 )
-            labels.append(int(lab))
-
-    features = np.asarray(feats, dtype=np.float64).reshape(len(labels), len(feat_idx))
-    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
-    if bad.size:
-        row_no = int(bad[0]) + 2
-        for blank in blank_rows:  # ascending; skipped rows shift the numbering
-            if blank <= row_no:
-                row_no += 1
-        raise DataError(f"{path}: row {row_no}: non-finite feature cell")
-    return Dataset(features, np.asarray(labels, dtype=np.intp), tuple(feature_columns))
+            if not all(math.isfinite(v) for v in feats):
+                raise DataError(f"{path}: row {row_no}: non-finite feature cell")
 
 
 def write_csv(ds: Dataset, path, label_column: str = DEFAULT_LABEL_COLUMN) -> None:

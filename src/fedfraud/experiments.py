@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -81,8 +82,24 @@ class ExperimentConfig:
             raise ConfigError(
                 f"partition_scheme: expected one of {', '.join(datamod.PARTITION_SCHEMES)}, "
                 f"got {self.partition_scheme!r}")
+        checks = (
+            ("test_fraction", 0.0 < self.test_fraction < 1.0, "must be in (0, 1)"),
+            ("threshold", 0.0 <= self.threshold <= 1.0, "must be in [0, 1]"),
+            ("dirichlet_alpha", 0.0 < self.dirichlet_alpha < math.inf,
+             "must be positive and finite"),
+            ("fraud_concentration", 0.0 <= self.fraud_concentration <= 1.0,
+             "must be in [0, 1]"),
+            ("sweep_repeats", self.sweep_repeats >= 1, "must be >= 1"),
+            ("sweep_sample_counts", all(n >= 1 for n in self.sweep_sample_counts),
+             "must all be >= 1"),
+        )
+        for name, ok, rule in checks:
+            if not ok:
+                raise ConfigError(f"{name}: {rule}, got {getattr(self, name)!r}")
         try:
-            self.fed_config()  # also builds hyperparams()
+            self.hyperparams()
+            self.fed_config()
+            self.decision_tree()
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -93,6 +110,9 @@ class ExperimentConfig:
             batch_size=self.batch_size,
             epochs=self.epochs if epochs is None else epochs,
         )
+
+    def decision_tree(self) -> models.DecisionTree:
+        return models.DecisionTree(self.dt_max_depth, self.dt_min_samples_leaf)
 
     def fed_config(self) -> federated.FedConfig:
         return federated.FedConfig(
@@ -172,8 +192,7 @@ def train_model(name: str, train: datamod.Dataset, cfg: ExperimentConfig,
         clf = models.LogisticRegression(cfg.hyperparams()).fit(train, rng.split("lr"))
         return clf.predict_proba, []
     if name == "dt":
-        clf = models.DecisionTree(cfg.dt_max_depth, cfg.dt_min_samples_leaf)
-        clf.fit(train, rng.split("dt"))
+        clf = cfg.decision_tree().fit(train, rng.split("dt"))
         return clf.predict_proba, []
     if name == "mlp_central":
         clf = models.MlpClassifier(cfg.hyperparams()).fit(train, rng.split("mlp"))

@@ -14,6 +14,8 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import metrics
 from .aggregation import aggregate
 from .data import ClientShard, Dataset
@@ -125,6 +127,11 @@ def run_round(global_params: MlpParams, clients: list[ClientState],
             results = list(pool.map(work, active))
     else:
         results = [work(c) for c in active]
+
+    for c, (vec, _, loss) in zip(active, results):
+        if not (np.isfinite(loss) and np.isfinite(vec).all()):
+            raise DomainError(f"round {round_idx}: client {c.client_id} returned a "
+                              "non-finite update or local loss")
 
     # Fixed client-id order into the aggregator: schedule-independent.
     contributions = [(vec, n_k) for vec, n_k, _ in results]

@@ -32,8 +32,10 @@ class MlpHyperparams:
     epochs: int = 5
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise DomainError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not 0 <= self.learning_rate < math.inf:
+            raise DomainError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        if self.epochs < 0:
+            raise DomainError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise DomainError(f"batch_size must be >= 1, got {self.batch_size}")
         self.hidden_sizes = tuple(int(h) for h in self.hidden_sizes)
@@ -256,6 +258,10 @@ class DecisionTree:
     """Binary CART tree with Gini impurity splits and midpoint thresholds."""
 
     def __init__(self, max_depth: int | None = None, min_samples_leaf: int = 1):
+        if max_depth is not None and max_depth < 0:
+            raise DomainError(f"max_depth must be >= 0 or None, got {max_depth}")
+        if min_samples_leaf < 1:
+            raise DomainError(f"min_samples_leaf must be >= 1, got {min_samples_leaf}")
         self.max_depth = max_depth
         self.min_samples_leaf = int(min_samples_leaf)
         self.root: TreeNode | None = None

@@ -1,9 +1,71 @@
+import csv
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fedfraud import data
 from fedfraud.errors import DataError, DomainError
 from fedfraud.numeric import Rng
+
+
+def reference_load_csv(path, label_column="Class", feature_columns=None):
+    """The per-cell csv.reader loop that load_csv replaced, kept as the oracle
+    for what a well-formed file parses to."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip().strip('"') for h in next(reader)]
+        if feature_columns is None:
+            feature_columns = [c for c in header if c != label_column]
+        feat_idx = [header.index(c) for c in feature_columns]
+        label_idx = header.index(label_column)
+        feats, labels = [], []
+        for row in reader:
+            if not row:
+                continue
+            feats.append([float(row[i]) for i in feat_idx])
+            lab = float(row[label_idx].strip().strip('"'))
+            assert lab in (0.0, 1.0)
+            labels.append(int(lab))
+    features = np.asarray(feats, dtype=np.float64).reshape(len(labels), len(feat_idx))
+    return data.Dataset(features, np.asarray(labels, dtype=np.intp), tuple(feature_columns))
+
+
+def assert_bit_equal(got, want):
+    assert got.features.dtype == want.features.dtype == np.float64
+    assert got.features.shape == want.features.shape
+    assert np.array_equal(got.features.view(np.int64), want.features.view(np.int64))
+    assert got.labels.dtype == want.labels.dtype
+    assert np.array_equal(got.labels, want.labels)
+    assert got.feature_names == want.feature_names
+
+
+@pytest.fixture
+def ulb_like_csv(tmp_path):
+    """ULB-style quoting plus the awkward cases: CRLF, a blank line, %.15g
+    values with exponents and -0.0, the label not last, a text column with
+    commas and '#' in quotes, and one row with an extra trailing cell."""
+    rng = np.random.default_rng(3)
+    n, d = 60, 5
+    values = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-30, 30, (n, d))
+    values[4, 2] = -0.0
+    values[7, 0] = 5e-324
+    labels = (rng.uniform(size=n) < 0.2).astype(int)
+    names = [f"V{i + 1}" for i in range(d)]
+    lines = [",".join(f'"{h}"' for h in ["Time", "Class", "Merchant"] + names)]
+    for i in range(n):
+        cells = [str(i), f'"{labels[i]}"', f'"#{i}, shop"'] + ["%.15g" % v for v in values[i]]
+        lines.append(",".join(cells))
+    lines[10] += ",trailing"
+    lines.insert(20, "")
+    path = tmp_path / "ulb_like.csv"
+    path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    return path, ["Time"] + names
 
 
 @pytest.fixture
@@ -59,6 +121,68 @@ class TestLoadCsv:
         path.write_text("V1,Class\n1.0,2\n")
         with pytest.raises(DataError, match="0 or 1"):
             data.load_csv(path)
+
+    def test_bit_equal_to_reference_loop(self, ulb_like_csv):
+        path, columns = ulb_like_csv
+        got = data.load_csv(path, feature_columns=columns)
+        assert got.n_samples == 60
+        assert got.features.flags["C_CONTIGUOUS"]
+        assert_bit_equal(got, reference_load_csv(path, feature_columns=columns))
+
+    def test_header_only_is_empty_dataset(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text('"V1","V2","Class"\r\n')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = data.load_csv(path)
+        assert ds.features.shape == (0, 2)
+        assert ds.labels.shape == (0,)
+
+    def test_hash_is_not_a_comment(self, tmp_path):
+        path = tmp_path / "hash.csv"
+        path.write_text("V1,Class\n1.0,0\n#3,1\n")
+        with pytest.raises(DataError, match=r"row 3: bad feature cell .*'#3'"):
+            data.load_csv(path)
+
+    def test_bad_label_after_blank_line_reports_row(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("V1,Class\n1.0,0\n\n2.0,x\n")
+        with pytest.raises(DataError, match="row 4: bad label cell"):
+            data.load_csv(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("1.0,2.0", "bad label cell"),         # short row
+        ("1_0,2.0,1", "bad feature cell"),     # Python-only spelling
+        ("1.0,2.0, \"1\"", "bad label cell"),  # quote after a space is literal
+    ])
+    def test_rejected_row_named(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"V1,V2,Class\n1.0,2.0,0\n{row}\n")
+        with pytest.raises(DataError, match=f"row 3: {message}"):
+            data.load_csv(path)
+
+    @pytest.mark.parametrize("cell", ["xyz", "nan"])
+    def test_numpy_message_when_rescan_finds_no_row(self, tmp_path, monkeypatch, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"V1,Class\n1.0,0\n{cell},1\n")
+        monkeypatch.setattr(data, "_raise_first_bad_row", lambda *args: None)
+        with pytest.raises(DataError, match="bad.csv: .*(xyz|non-finite)"):
+            data.load_csv(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(0, 12), st.integers(1, 4)),
+                      elements=st.floats(allow_nan=False, allow_infinity=False)))
+    @example(np.array([[-0.0, 0.0], [5e-324, -2.2250738585072014e-308],
+                       [1.7976931348623157e308, -1e-310]]))
+    def test_round_trip_bit_exact(self, features):
+        labels = np.arange(features.shape[0]) % 2
+        ds = data.Dataset(features, labels)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "rt.csv"
+            data.write_csv(ds, path)
+            back = data.load_csv(path)
+        assert np.array_equal(back.features.view(np.int64), features.view(np.int64))
+        assert np.array_equal(back.labels, labels)
 
     def test_csv_round_trip(self, tmp_path, imbalanced):
         path = tmp_path / "rt.csv"

@@ -150,6 +150,11 @@ class TestCli:
     @pytest.mark.parametrize("field, value", [
         ("learning_rate", -1), ("partition_scheme", "bogus"),
         ("aggregation_mode", "bogus"), ("batch_size", 0),
+        ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+        ("epochs", -3), ("test_fraction", 1.5), ("threshold", float("nan")),
+        ("dirichlet_alpha", -1), ("fraud_concentration", 2.0),
+        ("dt_min_samples_leaf", 0), ("sweep_repeats", 0),
+        ("sweep_sample_counts", (0,)),
     ])
     def test_bad_config_value_exit_one_before_writing(self, tmp_path, capsys,
                                                       field, value):

@@ -67,6 +67,11 @@ class TestAggregate:
         with pytest.raises(ShapeError):
             aggregate([(np.zeros(3), 1), (np.zeros(4), 1)])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_contribution_rejected(self, bad):
+        with pytest.raises(DomainError, match="contribution 1 has non-finite"):
+            aggregate([(np.array([0.5, 1.0]), 2), (np.array([bad, 1.0]), 3)])
+
 
 class TestLocalUpdate:
     def test_zero_lr_returns_global_params(self):
@@ -169,6 +174,30 @@ class TestRunRound:
         with pytest.warns(UserWarning):
             with pytest.raises(DomainError):
                 run_round(params, make_clients(shards, master), config, master, 0)
+
+    @pytest.mark.parametrize("poison", ["update", "loss"])
+    def test_non_finite_client_result_names_round_and_client(self, monkeypatch,
+                                                             poison):
+        shards, _ = make_shards(120, 3, seed=4)
+        config = FedConfig(k_clients=3, rounds=1,
+                           hyperparams=MlpHyperparams(hidden_sizes=(2,)), seed=4)
+        real_update = federated.local_update
+
+        def poisoned(client, params, cfg, round_idx):
+            vec, n_k, loss = real_update(client, params, cfg, round_idx)
+            if client.client_id == 1:
+                if poison == "update":
+                    vec = vec.copy()
+                    vec[0] = np.nan
+                else:
+                    loss = np.inf
+            return vec, n_k, loss
+
+        monkeypatch.setattr(federated, "local_update", poisoned)
+        master = Rng(4)
+        params = init_mlp_params(4, (2,), master)
+        with pytest.raises(DomainError, match="round 3: client 1 .*non-finite"):
+            run_round(params, make_clients(shards, master), config, master, 3)
 
 
 class TestRunTraining:
