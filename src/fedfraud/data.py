@@ -72,34 +72,39 @@ def load_csv(path, label_column: str = DEFAULT_LABEL_COLUMN,
     The body is parsed in one np.loadtxt pass: cells may be quoted, blank
     lines are skipped, '#' starts no comment, columns not selected are never
     parsed and extra trailing cells are ignored. A rejected file is rescanned
-    so the DataError names its 1-based row (blank lines count).
+    so the DataError names its 1-based row (blank lines count). A file that
+    is not UTF-8 text is a DataError too.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        try:
-            header = next(csv.reader(fh))
-        except StopIteration:
-            raise DataError(f"{path}: empty file, expected a header row")
-        header = [h.strip().strip('"') for h in header]
-        if label_column not in header:
-            raise DataError(f"{path}: label column {label_column!r} not in header {header}")
-        if feature_columns is None:
-            feature_columns = [c for c in header if c != label_column]
-        missing = [c for c in feature_columns if c not in header]
-        if missing:
-            raise DataError(f"{path}: unknown feature columns {missing}")
-        feat_idx = [header.index(c) for c in feature_columns]
-        label_idx = header.index(label_column)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            try:
+                header = next(csv.reader(fh))
+            except StopIteration:
+                raise DataError(f"{path}: empty file, expected a header row")
+            header = [h.strip().strip('"') for h in header]
+            if label_column not in header:
+                raise DataError(f"{path}: label column {label_column!r} not in header {header}")
+            if feature_columns is None:
+                feature_columns = [c for c in header if c != label_column]
+            missing = [c for c in feature_columns if c not in header]
+            if missing:
+                raise DataError(f"{path}: unknown feature columns {missing}")
+            feat_idx = [header.index(c) for c in feature_columns]
+            label_idx = header.index(label_column)
 
-        try:
-            with warnings.catch_warnings():
-                # A header-only file is an empty dataset, not a warning.
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
-                                   usecols=feat_idx + [label_idx], dtype=np.float64,
-                                   ndmin=2)
-        except ValueError as exc:
-            _raise_first_bad_row(path, feat_idx, label_idx)
-            raise DataError(f"{path}: {exc}") from exc
+            try:
+                with warnings.catch_warnings():
+                    # A header-only file is an empty dataset, not a warning.
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
+                                       usecols=feat_idx + [label_idx], dtype=np.float64,
+                                       ndmin=2)
+            except ValueError as exc:
+                _raise_first_bad_row(path, feat_idx, label_idx)
+                raise DataError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start:exc.start + 1]
+        raise DataError(f"{path}: not UTF-8 text (cannot decode byte 0x{bad.hex()})") from exc
 
     features = np.ascontiguousarray(table[:, :-1])
     labels = table[:, -1]

@@ -92,6 +92,12 @@ class ExperimentConfig:
             ("sweep_repeats", self.sweep_repeats >= 1, "must be >= 1"),
             ("sweep_sample_counts", all(n >= 1 for n in self.sweep_sample_counts),
              "must all be >= 1"),
+            ("synthetic_n", self.synthetic_n >= 1, "must be >= 1"),
+            ("synthetic_fraud_fraction", 0.0 < self.synthetic_fraud_fraction < 1.0,
+             "must be in (0, 1)"),
+            ("synthetic_separation", 0.0 <= self.synthetic_separation < math.inf,
+             "must be >= 0 and finite"),
+            ("synthetic_features", self.synthetic_features >= 1, "must be >= 1"),
         )
         for name, ok, rule in checks:
             if not ok:

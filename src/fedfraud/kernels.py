@@ -1,31 +1,14 @@
-"""Hot numeric kernels.
-
-Each kernel has a numba-compiled and a pure-numpy implementation. The
-compiled path is used when numba is importable, unless FEDFRAUD_NUMBA=0
-is set in the environment. `benchmarks/bench_kernels.py` compares both.
-"""
-
-import os
+"""Hot numeric kernels, in numpy: the stable sigmoid and the CART split search."""
 
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function 1/(1+e^-z), branch form that never overflows.
 
-USE_NUMBA = HAVE_NUMBA and os.environ.get("FEDFRAUD_NUMBA", "1") != "0"
-
-
-def backend() -> str:
-    return "numba" if USE_NUMBA else "numpy"
-
-
-# --- stable sigmoid ---------------------------------------------------------
-
-def _sigmoid_flat_np(z):
+    Elementwise on an array of any shape; the result has z's shape.
+    """
+    z = np.asarray(z, dtype=np.float64)
     out = np.empty_like(z)
     pos = z >= 0.0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
@@ -34,41 +17,24 @@ def _sigmoid_flat_np(z):
     return out
 
 
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _sigmoid_flat_nb(z):
-        out = np.empty_like(z)
-        for i in range(z.size):
-            v = z[i]
-            if v >= 0.0:
-                out[i] = 1.0 / (1.0 + np.exp(-v))
-            else:
-                ev = np.exp(v)
-                out[i] = ev / (1.0 + ev)
-        return out
-
-
-_sigmoid_flat = _sigmoid_flat_nb if USE_NUMBA else _sigmoid_flat_np
-
-
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Logistic function 1/(1+e^-z), branch form that never overflows."""
-    z = np.asarray(z, dtype=np.float64)
-    flat = _sigmoid_flat(np.ascontiguousarray(z).ravel())
-    return flat.reshape(z.shape)
-
-
 # --- decision-tree split search ---------------------------------------------
-# Scans every feature in index order and every candidate threshold (midpoints
-# between consecutive distinct sorted values) in increasing order; a new split
-# must beat the incumbent by >1e-12 in weighted Gini, so ties resolve to the
-# lowest feature index, then the lowest threshold.
+# Features are scanned in index order; candidate thresholds are the midpoints
+# between consecutive distinct sorted values. Within a feature the split is
+# the first (lowest) threshold whose weighted Gini is within 1e-12 of that
+# feature's minimum; a later feature replaces the incumbent only if it beats
+# it by more than 1e-12. Ties therefore go to the lowest feature index, then
+# the lowest threshold.
 
 _GINI_EPS = 1e-12
 
 
-def _best_split_np(X, y, min_leaf):
+def best_split(X: np.ndarray, y: np.ndarray, min_leaf: int):
+    """Best (feature, threshold, weighted_gini) for a binary CART split.
+
+    Returns feature == -1 when no admissible split exists.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
     n, d = X.shape
     best_f, best_t, best_g = -1, 0.0, np.inf
     for f in range(d):
@@ -88,51 +54,4 @@ def _best_split_np(X, y, min_leaf):
         i = int(np.argmax(g <= g.min() + _GINI_EPS))
         if g[i] < best_g - _GINI_EPS:
             best_f, best_t, best_g = f, 0.5 * (xs[i] + xs[i + 1]), g[i]
-    return best_f, best_t, best_g
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _best_split_nb(X, y, min_leaf):
-        n, d = X.shape
-        best_f = -1
-        best_t = 0.0
-        best_g = np.inf
-        total_pos = y.sum()
-        for f in range(d):
-            order = np.argsort(X[:, f])
-            xs = X[:, f][order]
-            ys = y[order]
-            pos_left = 0.0
-            for i in range(n - 1):
-                pos_left += ys[i]
-                if xs[i + 1] <= xs[i]:
-                    continue
-                n_left = i + 1
-                n_right = n - n_left
-                if n_left < min_leaf or n_right < min_leaf:
-                    continue
-                p_l = pos_left / n_left
-                p_r = (total_pos - pos_left) / n_right
-                g = (n_left * 2.0 * p_l * (1.0 - p_l)
-                     + n_right * 2.0 * p_r * (1.0 - p_r)) / n
-                if g < best_g - _GINI_EPS:
-                    best_f = f
-                    best_t = 0.5 * (xs[i] + xs[i + 1])
-                    best_g = g
-        return best_f, best_t, best_g
-
-
-_best_split = _best_split_nb if USE_NUMBA else _best_split_np
-
-
-def best_split(X: np.ndarray, y: np.ndarray, min_leaf: int):
-    """Best (feature, threshold, weighted_gini) for a binary CART split.
-
-    Returns feature == -1 when no admissible split exists.
-    """
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    y = np.ascontiguousarray(y, dtype=np.float64)
-    f, t, g = _best_split(X, y, int(min_leaf))
-    return int(f), float(t), float(g)
+    return int(best_f), float(best_t), float(best_g)

@@ -16,7 +16,7 @@ import numpy as np
 from . import kernels
 from .data import Dataset
 from .errors import DataError, DomainError, ShapeError
-from .numeric import Rng, relu, relu_deriv, sigmoid
+from .numeric import Rng
 
 PROB_EPS = 1e-12  # clamp before log so the loss stays finite
 
@@ -111,7 +111,7 @@ def mlp_forward(params: MlpParams, x: np.ndarray):
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         z = h @ w + b
         pre_acts.append(z)
-        h = sigmoid(z) if i == last else relu(z)
+        h = kernels.sigmoid(z) if i == last else np.maximum(z, 0.0)
         activations.append(h)
     probs = h[:, 0]
     return probs, (activations, pre_acts)
@@ -143,7 +143,7 @@ def mlp_backward(params: MlpParams, caches, labels: np.ndarray) -> np.ndarray:
         grads_w[i] = activations[i].T @ delta
         grads_b[i] = delta.sum(axis=0)
         if i > 0:
-            delta = (delta @ params.weights[i].T) * relu_deriv(pre_acts[i - 1])
+            delta = (delta @ params.weights[i].T) * (pre_acts[i - 1] > 0.0)
 
     parts = []
     for gw, gb in zip(grads_w, grads_b):

@@ -1,9 +1,4 @@
-"""Dense array primitives and a splittable deterministic RNG.
-
-Matrices are 2-D float64 numpy arrays, row-major; operations are pure and
-check shapes explicitly so callers get precise errors instead of silent
-broadcasting.
-"""
+"""Splittable seeded RNG: child streams that depend only on their labels."""
 
 from __future__ import annotations
 
@@ -11,73 +6,7 @@ import zlib
 
 import numpy as np
 
-from . import kernels
-from .errors import DomainError, ShapeError
-
-
-def as_matrix(x) -> np.ndarray:
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim == 1:
-        a = a.reshape(1, -1)
-    if a.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    return a
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return a @ b
-
-
-def _check_same_shape(a: np.ndarray, b: np.ndarray, op: str) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"{op} shape mismatch: {a.shape} vs {b.shape}")
-
-
-def add(a, b):
-    a, b = as_matrix(a), as_matrix(b)
-    _check_same_shape(a, b, "add")
-    return a + b
-
-
-def sub(a, b):
-    a, b = as_matrix(a), as_matrix(b)
-    _check_same_shape(a, b, "sub")
-    return a - b
-
-
-def mul(a, b):
-    a, b = as_matrix(a), as_matrix(b)
-    _check_same_shape(a, b, "mul")
-    return a * b
-
-
-def scale(a, c: float):
-    return as_matrix(a) * float(c)
-
-
-def elementwise_map(a, fn):
-    a = as_matrix(a)
-    return np.vectorize(fn, otypes=[np.float64])(a)
-
-
-def relu(x):
-    return np.maximum(as_matrix(x), 0.0)
-
-
-def relu_deriv(x):
-    return (as_matrix(x) > 0.0).astype(np.float64)
-
-
-def sigmoid(x):
-    return kernels.sigmoid(as_matrix(x))
-
-
-def sigmoid_deriv(x):
-    s = sigmoid(x)
-    return s * (1.0 - s)
+from .errors import DomainError
 
 
 class Rng:

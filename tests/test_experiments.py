@@ -154,7 +154,10 @@ class TestCli:
         ("epochs", -3), ("test_fraction", 1.5), ("threshold", float("nan")),
         ("dirichlet_alpha", -1), ("fraud_concentration", 2.0),
         ("dt_min_samples_leaf", 0), ("sweep_repeats", 0),
-        ("sweep_sample_counts", (0,)),
+        ("sweep_sample_counts", (0,)), ("synthetic_n", 0),
+        ("synthetic_features", 0), ("synthetic_fraud_fraction", 1.5),
+        ("synthetic_fraud_fraction", 0.0), ("synthetic_separation", -1.0),
+        ("synthetic_separation", float("inf")),
     ])
     def test_bad_config_value_exit_one_before_writing(self, tmp_path, capsys,
                                                       field, value):
@@ -171,6 +174,18 @@ class TestCli:
         rc = cli.main(["benchmark", "--data", str(tmp_path / "missing.csv"),
                        "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    @pytest.mark.parametrize("content", [
+        b"V1,Caf\xe9,Class\n1.0,2.0,0\n",
+        b"V1,Class\n1.0,0\n2.0,1\ncaf\xe9,0\n",
+    ], ids=["header", "body"])
+    def test_non_utf8_csv_exit_two(self, tmp_path, capsys, content):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(content)
+        rc = cli.main(["benchmark", "--data", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "not UTF-8" in err and "0xe9" in err
 
     def test_gen_synthetic_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

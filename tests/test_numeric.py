@@ -1,104 +1,8 @@
 import numpy as np
 import pytest
 
-from fedfraud import numeric
-from fedfraud.errors import DomainError, ShapeError
+from fedfraud.errors import DomainError
 from fedfraud.numeric import Rng
-
-
-def naive_matmul(a, b):
-    """Triple-loop oracle, independent of numpy's matmul."""
-    n, k = a.shape
-    k2, m = b.shape
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            s = 0.0
-            for t in range(k):
-                s += a[i, t] * b[t, j]
-            out[i, j] = s
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        eye = np.array([[1.0, 0.0], [0.0, 1.0]])
-        v = np.array([[3.0], [4.0]])
-        assert np.array_equal(numeric.matmul(eye, v), v)
-
-    def test_hand_case(self):
-        out = numeric.matmul(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
-        assert out.shape == (1, 1)
-        assert out[0, 0] == 11.0
-
-    def test_matches_naive_oracle(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(5, 4))
-        b = rng.normal(size=(4, 3))
-        assert np.max(np.abs(numeric.matmul(a, b) - naive_matmul(a, b))) <= 1e-12
-
-    def test_shape_error_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-            numeric.matmul(np.ones((2, 3)), np.ones((2, 2)))
-
-    def test_associativity(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            a = rng.normal(size=(3, 4))
-            b = rng.normal(size=(4, 5))
-            c = rng.normal(size=(5, 2))
-            left = numeric.matmul(numeric.matmul(a, b), c)
-            right = numeric.matmul(a, numeric.matmul(b, c))
-            assert np.allclose(left, right, rtol=1e-9)
-
-
-class TestElementwise:
-    def test_additive_identity(self):
-        assert np.array_equal(numeric.add([[1.0, 2.0]], [[0.0, 0.0]]),
-                              [[1.0, 2.0]])
-
-    def test_scale(self):
-        assert np.array_equal(numeric.scale([[1.0, -2.0]], 2.0), [[2.0, -4.0]])
-
-    def test_sub_self_is_zero(self):
-        x = np.random.default_rng(2).normal(size=(3, 4))
-        assert np.array_equal(numeric.sub(x, x), np.zeros((3, 4)))
-
-    def test_mul(self):
-        assert np.array_equal(numeric.mul([[2.0, 3.0]], [[4.0, 5.0]]),
-                              [[8.0, 15.0]])
-
-    def test_map(self):
-        out = numeric.elementwise_map([[1.0, 4.0]], lambda v: v * v)
-        assert np.array_equal(out, [[1.0, 16.0]])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            numeric.add(np.ones((2, 2)), np.ones((2, 3)))
-
-
-class TestActivations:
-    def test_sigmoid_symmetry(self):
-        assert numeric.sigmoid([[0.0]])[0, 0] == 0.5
-
-    def test_relu(self):
-        out = numeric.relu([[-3.0, 3.0]])
-        assert np.array_equal(out, [[0.0, 3.0]])
-
-    def test_sigmoid_saturation_no_overflow(self):
-        out = numeric.sigmoid([[500.0, -500.0]])
-        assert abs(out[0, 0] - 1.0) <= 1e-15
-        assert out[0, 1] >= 0.0
-        assert np.isfinite(out).all()
-
-    def test_sigmoid_derivative_identity(self):
-        x = np.linspace(-20, 20, 101).reshape(1, -1)
-        s = numeric.sigmoid(x)
-        assert np.max(np.abs(numeric.sigmoid_deriv(x) - s * (1 - s))) <= 1e-12
-
-    def test_relu_deriv(self):
-        out = numeric.relu_deriv([[-1.0, 0.0, 2.0]])
-        assert np.array_equal(out, [[0.0, 0.0, 1.0]])
 
 
 class TestRng:
