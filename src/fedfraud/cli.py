@@ -20,7 +20,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--data", help="input CSV path (default: synthetic data)")
     parser.add_argument("--seed", type=int, help="master random seed")
     parser.add_argument("--out", help="output directory for report files")
-    parser.add_argument("--threads", type=int, help="worker threads for clients")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,10 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides(args: argparse.Namespace) -> dict:
-    mapping = {
-        "data": args.data, "seed": args.seed, "out": args.out,
-        "threads": args.threads,
-    }
+    mapping = {"data": args.data, "seed": args.seed, "out": args.out}
     if getattr(args, "ratio", None) is not None:
         mapping["ratio"] = experiments.parse_ratio(args.ratio)
     if getattr(args, "repeats", None) is not None:

@@ -33,7 +33,6 @@ class ExperimentConfig:
     label_column: str = "Class"
     seed: int = 0
     out: str = "out"
-    threads: int = 1
     test_fraction: float = 0.2
     ratio: tuple[int, int] = (1, 1)
     threshold: float = 0.5
@@ -76,8 +75,6 @@ class ExperimentConfig:
             parse_ratio(r)
         if self.sweep_model not in ("lr", "dt", "mlp_central", "mlp_fed"):
             raise ConfigError(f"sweep_model: unknown model {self.sweep_model!r}")
-        if self.threads < 1:
-            raise ConfigError(f"threads: must be >= 1, got {self.threads}")
         if self.partition_scheme not in datamod.PARTITION_SCHEMES:
             raise ConfigError(
                 f"partition_scheme: expected one of {', '.join(datamod.PARTITION_SCHEMES)}, "
@@ -129,7 +126,6 @@ class ExperimentConfig:
             aggregation_mode=self.aggregation_mode,
             hyperparams=self.hyperparams(epochs=self.local_epochs),
             seed=self.seed,
-            threads=self.threads,
         )
 
 
@@ -274,8 +270,8 @@ BENCHMARK_MODELS = ("lr", "dt", "mlp_central", "mlp_fed")
 
 def run_benchmark(cfg: ExperimentConfig) -> list[dict]:
     """Train all benchmark models on one shared split; write report files."""
-    _write_common(cfg, cfg.out)
     source = load_source(cfg)
+    _write_common(cfg, cfg.out)
     rng = Rng(cfg.seed)
     train, test = prepare_splits(source, cfg, rng)
 
@@ -303,8 +299,8 @@ def run_benchmark(cfg: ExperimentConfig) -> list[dict]:
 def run_fed_vs_central(cfg: ExperimentConfig) -> dict:
     """Same MLP trained centrally and federatedly; report the AUC delta and
     the per-round convergence series."""
-    _write_common(cfg, cfg.out)
     source = load_source(cfg)
+    _write_common(cfg, cfg.out)
     rng = Rng(cfg.seed)
     train, test = prepare_splits(source, cfg, rng)
 
@@ -350,8 +346,8 @@ def _stratified_subsample(ds: datamod.Dataset, n: int, rng: Rng) -> datamod.Data
 def run_sweep(cfg: ExperimentConfig) -> list[dict]:
     """Sampling-ratio sensitivity: for each (sample_count, ratio, seed), draw
     a pool of sample_count rows, resample to the ratio, train, record AUC."""
-    _write_common(cfg, cfg.out)
     source = load_source(cfg)
+    _write_common(cfg, cfg.out)
 
     rows = []
     for sample_count in cfg.sweep_sample_counts:

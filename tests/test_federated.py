@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fedfraud import data, federated, models
 from fedfraud.aggregation import aggregate
 from fedfraud.data import ClientShard, Dataset
 from fedfraud.errors import DomainError, ShapeError
-from fedfraud.federated import (FEDAVG, FEDSGD, FedConfig, local_update,
-                                make_clients, run_round, run_training,
-                                train_locally)
-from fedfraud.models import MlpHyperparams, full_batch_gradient, init_mlp_params
+from fedfraud.federated import (FEDAVG, FEDSGD, FedConfig, client_results,
+                                local_update, make_clients, run_round,
+                                run_training)
+from fedfraud.models import (MlpHyperparams, full_batch_gradient, init_mlp_params,
+                             mlp_forward, mlp_loss, sgd_epoch)
 from fedfraud.numeric import Rng
 
 
@@ -23,6 +26,21 @@ def scalar_weighted_mean(contributions):
             s += (n / total) * vec[i]
         out.append(s)
     return np.array(out)
+
+
+def reference_client_results(clients, global_params, config, round_idx):
+    """Per-client FedAvg loop: each client trains its own copy of the global
+    params with sgd_epoch on its own rng streams, one client after another."""
+    out = []
+    for c in clients:
+        ds = c.shard.data
+        local = global_params.copy()
+        round_rng = c.rng.split("round", round_idx)
+        for e in range(config.local_epochs):
+            sgd_epoch(local, ds, config.hyperparams, round_rng.split("epoch", e))
+        probs, _ = mlp_forward(local, ds.features)
+        out.append((local.as_vector(), ds.n_samples, mlp_loss(probs, ds.labels)))
+    return out
 
 
 def make_shards(n, k, seed=0, scheme="iid"):
@@ -81,32 +99,70 @@ class TestLocalUpdate:
         master = Rng(0)
         global_params = init_mlp_params(4, (3,), master)
         client = make_clients(shards, master)[0]
-        vec, n_k, _ = local_update(client, global_params, config, 0)
+        [(vec, n_k, _)] = client_results([client], global_params, config, 0)
         assert np.array_equal(vec, global_params.as_vector())
         assert n_k == shards[0].data.n_samples
 
     def test_fedsgd_payload_is_full_batch_gradient(self):
         shards, _ = make_shards(150, 1)
-        config = FedConfig(k_clients=1, aggregation_mode=FEDSGD,
-                           hyperparams=MlpHyperparams(hidden_sizes=(3,)), seed=0)
         master = Rng(0)
         global_params = init_mlp_params(4, (3,), master)
         client = make_clients(shards, master)[0]
-        vec, _, _ = local_update(client, global_params, config, 0)
+        vec, _, _ = local_update(client, global_params)
         assert np.array_equal(vec, full_batch_gradient(global_params,
                                                        shards[0].data))
 
     def test_local_loss_decreases_over_epochs(self):
         shards, _ = make_shards(300, 1, seed=4)
         hp = MlpHyperparams(hidden_sizes=(4,), learning_rate=0.1, batch_size=16)
+        config = FedConfig(k_clients=1, local_epochs=20, hyperparams=hp, seed=4)
         master = Rng(4)
         params = init_mlp_params(4, (4,), master)
+        client = make_clients(shards, master)[0]
         before = models.mlp_loss(models.mlp_forward(params, shards[0].data.features)[0],
                                  shards[0].data.labels)
-        train_locally(params, shards[0].data, hp, 20, master.split("t"))
-        after = models.mlp_loss(models.mlp_forward(params, shards[0].data.features)[0],
-                                shards[0].data.labels)
+        [(_, _, after)] = client_results([client], params, config, 0)
         assert after < before
+
+    @settings(max_examples=60, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 80), min_size=1, max_size=6),
+           batch_size=st.integers(1, 40),
+           hidden=st.sampled_from([(), (3,), (4, 2)]),
+           local_epochs=st.integers(1, 3),
+           n_features=st.integers(1, 4),
+           seed=st.integers(0, 2**16))
+    @example(sizes=[7, 30, 7, 30, 1, 7], batch_size=8, hidden=(4, 2),
+             local_epochs=2, n_features=3, seed=1)
+    @example(sizes=[5, 80, 64, 80], batch_size=32, hidden=(3,), local_epochs=3,
+             n_features=2, seed=2)
+    def test_lockstep_matches_per_client_loop(self, sizes, batch_size, hidden,
+                                              local_epochs, n_features, seed):
+        gen = np.random.default_rng(seed)
+        shards = [ClientShard(cid, Dataset(gen.normal(size=(n, n_features)),
+                                           gen.integers(0, 2, n)))
+                  for cid, n in enumerate(sizes)]
+        hp = MlpHyperparams(hidden_sizes=hidden, learning_rate=0.3,
+                            batch_size=batch_size)
+        config = FedConfig(k_clients=len(sizes), local_epochs=local_epochs,
+                           hyperparams=hp, seed=seed)
+        master = Rng(seed)
+        global_params = init_mlp_params(n_features, hidden, master)
+        clients = make_clients(shards, master)
+
+        expected = reference_client_results(clients, global_params, config, 5)
+        got = client_results(clients, global_params, config, 5)
+        for (vec, n_k, loss), (ref_vec, ref_n, ref_loss) in zip(got, expected,
+                                                                 strict=True):
+            assert np.array_equal(vec, ref_vec)
+            assert np.array_equal(np.signbit(vec), np.signbit(ref_vec))
+            assert n_k == ref_n
+            assert loss == ref_loss
+
+        # run_round aggregates exactly these results, in client-id order.
+        new_params, report = run_round(global_params, clients, config, master, 5)
+        agg = aggregate([(vec, n_k) for vec, n_k, _ in expected])
+        assert np.array_equal(new_params.as_vector(), agg)
+        assert report.participant_ids == list(range(len(sizes)))
 
 
 class TestRunRound:
@@ -120,8 +176,9 @@ class TestRunRound:
         # Centralized SGD from the same init with the same derived stream.
         master = Rng(2)
         central = init_mlp_params(4, (4,), master)
-        train_locally(central, shards[0].data, hp, 3,
-                      master.split("client", 0).split("round", 0))
+        round_rng = master.split("client", 0).split("round", 0)
+        for e in range(3):
+            sgd_epoch(central, shards[0].data, hp, round_rng.split("epoch", e))
         assert np.array_equal(params.as_vector(), central.as_vector())
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
@@ -181,19 +238,21 @@ class TestRunRound:
         shards, _ = make_shards(120, 3, seed=4)
         config = FedConfig(k_clients=3, rounds=1,
                            hyperparams=MlpHyperparams(hidden_sizes=(2,)), seed=4)
-        real_update = federated.local_update
+        real_results = federated.client_results
 
-        def poisoned(client, params, cfg, round_idx):
-            vec, n_k, loss = real_update(client, params, cfg, round_idx)
-            if client.client_id == 1:
-                if poison == "update":
-                    vec = vec.copy()
-                    vec[0] = np.nan
-                else:
-                    loss = np.inf
-            return vec, n_k, loss
+        def poisoned(clients, params, cfg, round_idx):
+            results = real_results(clients, params, cfg, round_idx)
+            pos = [c.client_id for c in clients].index(1)
+            vec, n_k, loss = results[pos]
+            vec = vec.copy()
+            if poison == "update":
+                vec[0] = np.nan
+            else:
+                loss = np.inf
+            results[pos] = (vec, n_k, loss)
+            return results
 
-        monkeypatch.setattr(federated, "local_update", poisoned)
+        monkeypatch.setattr(federated, "client_results", poisoned)
         master = Rng(4)
         params = init_mlp_params(4, (2,), master)
         with pytest.raises(DomainError, match="round 3: client 1 .*non-finite"):
@@ -230,14 +289,6 @@ class TestRunTraining:
             assert a.train_loss == b.train_loss
             assert a.test_metrics == b.test_metrics
             assert a.participant_ids == b.participant_ids
-
-    def test_thread_count_does_not_change_results(self):
-        shards, _ = make_shards(300, 4, seed=8)
-        base = dict(k_clients=4, rounds=3,
-                    hyperparams=MlpHyperparams(hidden_sizes=(3,)), seed=8)
-        p1, _ = run_training(shards, None, FedConfig(threads=1, **base))
-        p4, _ = run_training(shards, None, FedConfig(threads=4, **base))
-        assert np.array_equal(p1.as_vector(), p4.as_vector())
 
     def test_weighted_loss_matches_participants(self):
         shards, _ = make_shards(200, 2, seed=9, scheme="quantity_skew")
