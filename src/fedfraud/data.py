@@ -54,6 +54,28 @@ class Dataset:
 
 
 @dataclass(frozen=True)
+class DatasetStack:
+    """Datasets that train side by side, one per entry of a K-stacked model
+    (models.sgd_epoch). Members are sorted by row count, largest first, so
+    at every batch position the members that still have rows form a prefix.
+    """
+
+    members: tuple[Dataset, ...]
+
+    def __post_init__(self):
+        sizes = [m.n_samples for m in self.members]
+        if not sizes:
+            raise DomainError("a dataset stack needs at least one member")
+        if sizes != sorted(sizes, reverse=True):
+            raise DomainError(f"stack members must be largest first, got sizes {sizes}")
+
+    @property
+    def n_samples(self) -> int:
+        """Rows over all members."""
+        return sum(m.n_samples for m in self.members)
+
+
+@dataclass(frozen=True)
 class ClientShard:
     client_id: int
     data: Dataset

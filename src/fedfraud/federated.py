@@ -6,17 +6,16 @@ derived from (seed, client id, round), so results do not depend on the
 order in which clients are processed.
 
 In FedAvg mode a round's clients train in lockstep: their models form one
-K-stacked set of arrays, and at each batch position one stacked sgd_step
-serves every client with the same batch size. This is bit-identical to
-training each client on its own: a stacked matmul makes the same gemm call
-per stack entry as a 2-D matmul, the elementwise ops, the sigmoid and the
-per-entry sums do the same arithmetic on each element, and no stack entry
-reads another client's rows.
+K-stacked set of arrays and their shards a DatasetStack, and each epoch is
+one models.sgd_epoch over the stack. This is bit-identical to training each
+client on its own: a stacked matmul makes the same gemm call per stack
+entry as a 2-D matmul, the elementwise ops, the sigmoid and the per-entry
+sums do the same arithmetic on each element, and no stack entry reads
+another client's rows.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 import warnings
@@ -26,10 +25,10 @@ import numpy as np
 
 from . import metrics
 from .aggregation import aggregate
-from .data import ClientShard, Dataset
+from .data import ClientShard, Dataset, DatasetStack
 from .errors import DomainError
-from .models import (MlpHyperparams, MlpParams, full_batch_gradient,
-                     init_mlp_params, mlp_forward, mlp_loss, sgd_step)
+from .models import (MlpHyperparams, MlpParams, init_mlp_params, mlp_backward,
+                     mlp_forward, mlp_loss, sgd_epoch)
 from .numeric import Rng
 
 FEDAVG = "fedavg_params"
@@ -76,59 +75,51 @@ def make_clients(shards: list[ClientShard], master: Rng) -> list[ClientState]:
             for s in shards]
 
 
-def local_update(client: ClientState, global_params: MlpParams):
-    """FedSGD payload: (full-batch gradient at the global parameters, n_k,
-    loss at the global parameters)."""
+def local_update(client: ClientState, params: MlpParams, mode: str):
+    """(payload vector, n_k, local loss) of one client at `params`.
+
+    FedSGD: `params` is the global model and the payload is the client's
+    full-batch gradient there. FedAvg: `params` is the client's model after
+    local training (client_results) and the payload is its parameters.
+    """
     ds = client.shard.data
-    grad = full_batch_gradient(global_params, ds)
-    probs, _ = mlp_forward(global_params, ds.features)
-    return grad, ds.n_samples, mlp_loss(probs, ds.labels)
+    probs, caches = mlp_forward(params, ds.features)
+    payload = (mlp_backward(params, caches, ds.labels) if mode == FEDSGD
+               else params.as_vector())
+    return payload, ds.n_samples, mlp_loss(probs, ds.labels)
 
 
 def client_results(clients: list[ClientState], global_params: MlpParams,
                    config: FedConfig, round_idx: int):
-    """(payload vector, n_k, local loss) for each client, in the given order.
+    """local_update of each client, in the given order.
 
-    FedSGD: the full-batch gradient at the global parameters. FedAvg: the
-    parameters after `local_epochs` epochs of mini-batch SGD from the global
-    parameters, every client trained in lockstep.
+    In FedAvg mode each client first trains a copy of the global parameters
+    for `local_epochs` epochs of mini-batch SGD, all clients in lockstep.
     """
-    if config.aggregation_mode == FEDSGD:
-        return [local_update(c, global_params) for c in clients]
-    hp = config.hyperparams
-    # Largest shard first (ties by client id): at every batch position the
-    # clients still training form a prefix, and those sharing a batch size a
-    # contiguous range of it.
-    ranked = sorted(clients, key=lambda c: (-c.shard.data.n_samples, c.client_id))
-    features = [np.asarray(c.shard.data.features, dtype=np.float64) for c in ranked]
-    labels = [np.asarray(c.shard.data.labels, dtype=np.float64) for c in ranked]
-    sizes = [c.shard.data.n_samples for c in ranked]
-    weights = [np.repeat(w[None], len(ranked), axis=0) for w in global_params.weights]
-    biases = [np.repeat(b[None], len(ranked), axis=0) for b in global_params.biases]
-    round_rngs = [c.rng.split("round", round_idx) for c in ranked]
+    mode = config.aggregation_mode
+    if mode == FEDSGD:
+        return [local_update(c, global_params, mode) for c in clients]
+    # Largest shard first, ties by client id (see DatasetStack).
+    ranked = sorted(range(len(clients)), key=lambda k: (
+        -clients[k].shard.data.n_samples, clients[k].client_id))
+    stack = DatasetStack(tuple(clients[k].shard.data for k in ranked))
+    trained = MlpParams(global_params.layer_sizes,
+                        [np.repeat(w[None], len(ranked), axis=0)
+                         for w in global_params.weights],
+                        [np.repeat(b[None], len(ranked), axis=0)
+                         for b in global_params.biases])
+    round_rngs = [clients[k].rng.split("round", round_idx) for k in ranked]
     for e in range(config.local_epochs):
-        orders = [rng.split("epoch", e).permutation(n)
-                  for rng, n in zip(round_rngs, sizes)]
-        for start in range(0, sizes[0], hp.batch_size):
-            lo = 0
-            batch_sizes = [min(hp.batch_size, n - start) for n in sizes if n > start]
-            for size, same in itertools.groupby(batch_sizes):
-                hi = lo + len(list(same))
-                rows = [order[start:start + size] for order in orders[lo:hi]]
-                x = np.stack([f[idx] for f, idx in zip(features[lo:hi], rows)])
-                y = np.stack([lab[idx] for lab, idx in zip(labels[lo:hi], rows)])
-                sgd_step([w[lo:hi] for w in weights], [b[lo:hi] for b in biases],
-                         x, y, hp.learning_rate)
-                lo = hi
+        sgd_epoch(trained, stack, config.hyperparams,
+                  [rng.split("epoch", e) for rng in round_rngs])
 
-    results = {}
-    for k, c in enumerate(ranked):
-        local = MlpParams(global_params.layer_sizes, [w[k] for w in weights],
-                          [b[k] for b in biases])
-        probs, _ = mlp_forward(local, features[k])
-        results[c.client_id] = (local.as_vector(), sizes[k],
-                                mlp_loss(probs, labels[k]))
-    return [results[c.client_id] for c in clients]
+    results = [None] * len(clients)
+    for pos, k in enumerate(ranked):
+        local = MlpParams(global_params.layer_sizes,
+                          [w[pos] for w in trained.weights],
+                          [b[pos] for b in trained.biases])
+        results[k] = local_update(clients[k], local, mode)
+    return results
 
 
 def select_participants(clients: list[ClientState], config: FedConfig,

@@ -7,6 +7,7 @@ probabilities in (0,1) and predict(x, threshold) is 1 iff proba >= threshold.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .data import Dataset
+from .data import Dataset, DatasetStack
 from .errors import DataError, DomainError, ShapeError
 from .numeric import Rng
 
@@ -195,17 +196,28 @@ def sgd_step(weights, biases, x, y, lr) -> None:
         biases[i] -= grad_b
 
 
-def sgd_epoch(params: MlpParams, ds: Dataset, hp: MlpHyperparams, rng: Rng) -> None:
+def sgd_epoch(params: MlpParams, ds: Dataset | DatasetStack, hp: MlpHyperparams,
+              rng) -> None:
     """One epoch of mini-batch SGD (sgd_step) over a random permutation of
     `ds`. Works in place on params.weights / params.biases and returns
     nothing; `ds` is only read.
+
+    For a DatasetStack of K members, params holds K-stacked weights and
+    biases (as sgd_step takes them) and `rng` is a sequence of K Rngs. Entry
+    k trains on member k in the order of rng[k].permutation, as a one-model
+    epoch would, and all entries train in lockstep: at each batch position
+    one stacked sgd_step serves every member with the same batch size.
     """
-    if ds.n_samples == 0:
-        raise DomainError("cannot train on an empty shard")
-    if ds.n_features != params.layer_sizes[0]:
-        raise ShapeError(
-            f"input has {ds.n_features} features, model expects {params.layer_sizes[0]}"
-        )
+    members = ds.members if isinstance(ds, DatasetStack) else (ds,)
+    for member in members:
+        if member.n_samples == 0:
+            raise DomainError("cannot train on an empty shard")
+        if member.n_features != params.layer_sizes[0]:
+            raise ShapeError(f"input has {member.n_features} features, model "
+                             f"expects {params.layer_sizes[0]}")
+    if isinstance(ds, DatasetStack):
+        _lockstep_epoch(params, members, hp, rng)
+        return
     features = np.asarray(ds.features, dtype=np.float64)
     labels = np.asarray(ds.labels, dtype=np.float64)
     order = rng.permutation(ds.n_samples)
@@ -213,6 +225,30 @@ def sgd_epoch(params: MlpParams, ds: Dataset, hp: MlpHyperparams, rng: Rng) -> N
         idx = order[start:start + hp.batch_size]
         sgd_step(params.weights, params.biases, features[idx], labels[idx],
                  hp.learning_rate)
+
+
+def _lockstep_epoch(params: MlpParams, members, hp: MlpHyperparams, rngs) -> None:
+    if len(rngs) != len(members) or params.weights[0].shape[0] != len(members):
+        raise ShapeError(f"{len(members)} stack members need as many rngs and "
+                         f"stacked models, got {len(rngs)} and "
+                         f"{params.weights[0].shape[0]}")
+    features = [np.asarray(m.features, dtype=np.float64) for m in members]
+    labels = [np.asarray(m.labels, dtype=np.float64) for m in members]
+    sizes = [m.n_samples for m in members]
+    orders = [rng.permutation(n) for rng, n in zip(rngs, sizes)]
+    for start in range(0, sizes[0], hp.batch_size):
+        # Members with rows left are a prefix; those sharing a batch size
+        # are a contiguous range of it, and train on views of the stack.
+        lo = 0
+        batch_sizes = [min(hp.batch_size, n - start) for n in sizes if n > start]
+        for size, same in itertools.groupby(batch_sizes):
+            hi = lo + len(list(same))
+            rows = [order[start:start + size] for order in orders[lo:hi]]
+            x = np.stack([f[idx] for f, idx in zip(features[lo:hi], rows)])
+            y = np.stack([lab[idx] for lab, idx in zip(labels[lo:hi], rows)])
+            sgd_step([w[lo:hi] for w in params.weights],
+                     [b[lo:hi] for b in params.biases], x, y, hp.learning_rate)
+            lo = hi
 
 
 class MlpClassifier:

@@ -108,7 +108,7 @@ class TestLocalUpdate:
         master = Rng(0)
         global_params = init_mlp_params(4, (3,), master)
         client = make_clients(shards, master)[0]
-        vec, _, _ = local_update(client, global_params)
+        vec, _, _ = local_update(client, global_params, FEDSGD)
         assert np.array_equal(vec, full_batch_gradient(global_params,
                                                        shards[0].data))
 
@@ -163,6 +163,16 @@ class TestLocalUpdate:
         agg = aggregate([(vec, n_k) for vec, n_k, _ in expected])
         assert np.array_equal(new_params.as_vector(), agg)
         assert report.participant_ids == list(range(len(sizes)))
+
+
+    def test_empty_shard_rejected(self):
+        shards, _ = make_shards(100, 1)
+        empty = ClientShard(1, Dataset(np.empty((0, 4)), np.empty(0, dtype=np.intp)))
+        config = FedConfig(k_clients=2, hyperparams=MlpHyperparams(hidden_sizes=(3,)))
+        master = Rng(0)
+        clients = make_clients(shards + [empty], master)
+        with pytest.raises(DomainError, match="empty shard"):
+            client_results(clients, init_mlp_params(4, (3,), master), config, 0)
 
 
 class TestRunRound:
@@ -268,6 +278,15 @@ class TestRunTraining:
         assert reports == []
         assert np.array_equal(params.as_vector(),
                               init_mlp_params(4, (3,), Rng(0)).as_vector())
+
+    @pytest.mark.parametrize("mode", [FEDAVG, FEDSGD])
+    def test_shard_feature_count_mismatch(self, mode):
+        shards, _ = make_shards(100, 2)
+        narrow = ClientShard(2, Dataset(np.zeros((5, 3)), np.zeros(5, dtype=np.intp)))
+        config = FedConfig(k_clients=3, rounds=1, aggregation_mode=mode,
+                           hyperparams=MlpHyperparams(hidden_sizes=(3,)))
+        with pytest.raises(ShapeError, match="input has 3 features, model expects 4"):
+            run_training(shards + [narrow], None, config)
 
     def test_loss_trend_on_separable_data(self):
         shards, _ = make_shards(600, 3, seed=6)

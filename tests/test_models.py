@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from fedfraud import models
-from fedfraud.data import Dataset
-from fedfraud.errors import ShapeError
+from fedfraud.data import Dataset, DatasetStack
+from fedfraud.errors import DomainError, ShapeError
 from fedfraud.models import (MlpHyperparams, MlpParams, init_mlp_params,
                              mlp_backward, mlp_forward, mlp_loss, sgd_epoch)
 from fedfraud.numeric import Rng
@@ -203,6 +203,20 @@ class TestSgd:
             assert np.array_equal(fused.as_vector(), reference.as_vector())
         assert np.array_equal(ds.features, X_before)
         assert np.array_equal(ds.labels, y_before)
+
+    def test_stack_checks(self):
+        ds, small = self._toy(), self._toy().take(range(5))
+        with pytest.raises(DomainError, match="largest first"):
+            DatasetStack((small, ds))
+        with pytest.raises(DomainError, match="at least one"):
+            DatasetStack(())
+        assert DatasetStack((ds, small)).n_samples == ds.n_samples + 5
+        one = init_mlp_params(2, (3,), Rng(0))
+        stacked = MlpParams(one.layer_sizes, [np.stack([w, w]) for w in one.weights],
+                            [np.stack([b, b]) for b in one.biases])
+        hp = MlpHyperparams(hidden_sizes=(3,))
+        with pytest.raises(ShapeError, match="2 stack members"):
+            sgd_epoch(stacked, DatasetStack((ds, small)), hp, [Rng(1)])
 
     def test_feature_count_mismatch(self):
         params = init_mlp_params(3, (2,), Rng(0))
