@@ -24,7 +24,9 @@ from . import federated, metrics, models
 from .errors import ConfigError, DomainError
 from .numeric import Rng
 
-RATIOS = {"1:1": (1, 1), "1:100": (1, 100)}
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass
@@ -65,9 +67,18 @@ class ExperimentConfig:
     sweep_model: str = "mlp_fed"
 
     def __post_init__(self):
-        self.hidden_sizes = tuple(int(h) for h in self.hidden_sizes)
-        self.ratio = tuple(int(r) for r in self.ratio)
-        self.sweep_sample_counts = tuple(int(n) for n in self.sweep_sample_counts)
+        # Integer fields and tuples of integers take ints only: no float,
+        # no bool, nothing int() would silently truncate.
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type.startswith("tuple[int"):
+                value = tuple(value)
+                setattr(self, f.name, value)
+                if not all(_is_int(v) for v in value):
+                    raise ConfigError(f"{f.name}: entries must be integers, got {value!r}")
+            elif f.type.startswith("int") and not (
+                    _is_int(value) or (value is None and f.type == "int | None")):
+                raise ConfigError(f"{f.name}: must be an integer, got {value!r}")
         self.sweep_ratios = tuple(self.sweep_ratios)
         if len(self.ratio) != 2:
             raise ConfigError(f"ratio: expected two parts, got {self.ratio}")
@@ -80,6 +91,8 @@ class ExperimentConfig:
                 f"partition_scheme: expected one of {', '.join(datamod.PARTITION_SCHEMES)}, "
                 f"got {self.partition_scheme!r}")
         checks = (
+            ("seed", self.seed >= 0, "must be >= 0"),
+            ("ratio", all(r >= 1 for r in self.ratio), "parts must be >= 1"),
             ("test_fraction", 0.0 < self.test_fraction < 1.0, "must be in (0, 1)"),
             ("threshold", 0.0 <= self.threshold <= 1.0, "must be in [0, 1]"),
             ("dirichlet_alpha", 0.0 < self.dirichlet_alpha < math.inf,

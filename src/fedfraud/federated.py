@@ -17,7 +17,6 @@ another client's rows.
 from __future__ import annotations
 
 import math
-import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -67,7 +66,6 @@ class RoundReport:
     participant_ids: list[int]
     train_loss: float
     test_metrics: dict | None
-    duration: float
 
 
 def make_clients(shards: list[ClientShard], master: Rng) -> list[ClientState]:
@@ -134,7 +132,6 @@ def select_participants(clients: list[ClientState], config: FedConfig,
 def run_round(global_params: MlpParams, clients: list[ClientState],
               config: FedConfig, master: Rng, round_idx: int,
               test: Dataset | None = None):
-    start = time.perf_counter()
     participants = select_participants(clients, config, master, round_idx)
 
     active = []
@@ -175,7 +172,6 @@ def run_round(global_params: MlpParams, clients: list[ClientState],
         participant_ids=[c.client_id for c in active],
         train_loss=float(train_loss),
         test_metrics=test_metrics,
-        duration=time.perf_counter() - start,
     )
     return new_params, report
 

@@ -3,6 +3,10 @@
 
 All three expose fit / predict_proba / predict; probabilities are fraud
 probabilities in (0,1) and predict(x, threshold) is 1 iff proba >= threshold.
+
+The MLP has one forward body (_forward) and one backward body (_backward).
+Prediction and the FedSGD gradient (mlp_forward, mlp_backward) and every
+SGD step, on one model or a K-stack (sgd_step), go through them.
 """
 
 from __future__ import annotations
@@ -40,6 +44,8 @@ class MlpHyperparams:
         if self.batch_size < 1:
             raise DomainError(f"batch_size must be >= 1, got {self.batch_size}")
         self.hidden_sizes = tuple(int(h) for h in self.hidden_sizes)
+        if any(h < 1 for h in self.hidden_sizes):
+            raise DomainError(f"hidden_sizes must all be >= 1, got {self.hidden_sizes}")
 
 
 @dataclass
@@ -79,11 +85,6 @@ class MlpParams:
             raise ShapeError(f"vector length {vec.size} != parameter count {pos}")
         return cls(layer_sizes, weights, biases)
 
-    def copy(self) -> "MlpParams":
-        return MlpParams(self.layer_sizes,
-                         [w.copy() for w in self.weights],
-                         [b.copy() for b in self.biases])
-
 
 def init_mlp_params(input_dim: int, hidden_sizes, rng: Rng) -> MlpParams:
     """Uniform(-s, s) weights with s = sqrt(6/(fan_in+fan_out)); zero biases."""
@@ -96,6 +97,46 @@ def init_mlp_params(input_dim: int, hidden_sizes, rng: Rng) -> MlpParams:
     return MlpParams(layer_sizes, weights, biases)
 
 
+def _forward(weights, biases, x):
+    """The MLP forward pass: (activations, pre_acts), where activations[0]
+    is x, activations[i] is the input to layer i and activations[-1] the
+    sigmoid output, and pre_acts[i] is layer i's pre-activation.
+
+    One model: x is (b, d), weights[i] is (fan_in, fan_out) and biases[i]
+    is (fan_out,). A stack of K: x is (K, b, d), weights[i] is
+    (K, fan_in, fan_out) and biases[i] is (K, fan_out); entry k sees only
+    x[k]. A stacked matmul makes the same gemm call per entry as a 2-D one,
+    so each stack entry is bit-identical to a one-model pass on its rows.
+    """
+    activations, pre_acts = [x], []
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = activations[-1] @ w
+        z += b[..., None, :]
+        pre_acts.append(z)
+        activations.append(kernels.sigmoid(z) if i == last else np.maximum(z, 0.0))
+    return activations, pre_acts
+
+
+def _backward(weights, activations, pre_acts, y):
+    """The MLP backward pass: (grads_w, grads_b) of the mean BCE loss over
+    the rows of y, in _forward's shapes. Reads the caches, never writes
+    them."""
+    # Sigmoid + BCE collapse: dL/dz_out = (p - y) / rows. The subtraction
+    # makes a new array, so the in-place ops below leave the caches intact.
+    delta = activations[-1] - y[..., None]
+    delta /= y.shape[-1]
+    grads_w = [None] * len(weights)
+    grads_b = [None] * len(weights)
+    for i in range(len(weights) - 1, -1, -1):
+        grads_w[i] = activations[i].mT @ delta
+        grads_b[i] = delta.sum(axis=-2)
+        if i > 0:
+            delta = delta @ weights[i].mT
+            delta *= pre_acts[i - 1] > 0.0
+    return grads_w, grads_b
+
+
 def mlp_forward(params: MlpParams, x: np.ndarray):
     """Forward pass; returns (fraud probabilities, caches for backprop)."""
     x = np.asarray(x, dtype=np.float64)
@@ -105,17 +146,8 @@ def mlp_forward(params: MlpParams, x: np.ndarray):
         raise ShapeError(
             f"input has {x.shape[1]} features, model expects {params.layer_sizes[0]}"
         )
-    activations = [x]
-    pre_acts = []
-    h = x
-    last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ w + b
-        pre_acts.append(z)
-        h = kernels.sigmoid(z) if i == last else np.maximum(z, 0.0)
-        activations.append(h)
-    probs = h[:, 0]
-    return probs, (activations, pre_acts)
+    activations, pre_acts = _forward(params.weights, params.biases, x)
+    return activations[-1][:, 0], (activations, pre_acts)
 
 
 def mlp_loss(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -135,65 +167,19 @@ def mlp_backward(params: MlpParams, caches, labels: np.ndarray) -> np.ndarray:
     n = activations[0].shape[0]
     if labels.size != n:
         raise ShapeError(f"{labels.size} labels for a cache of {n} rows")
-
-    # Sigmoid + BCE collapse: dL/dz_out = (p - y) / n.
-    delta = (activations[-1] - labels.reshape(-1, 1)) / n
-    grads_w = [None] * len(params.weights)
-    grads_b = [None] * len(params.weights)
-    for i in range(len(params.weights) - 1, -1, -1):
-        grads_w[i] = activations[i].T @ delta
-        grads_b[i] = delta.sum(axis=0)
-        if i > 0:
-            delta = (delta @ params.weights[i].T) * (pre_acts[i - 1] > 0.0)
-
-    parts = []
-    for gw, gb in zip(grads_w, grads_b):
-        parts.append(gw.ravel())
-        parts.append(gb.ravel())
-    return np.concatenate(parts)
-
-
-def full_batch_gradient(params: MlpParams, ds: Dataset) -> np.ndarray:
-    probs, caches = mlp_forward(params, ds.features)
-    return mlp_backward(params, caches, ds.labels)
+    grads_w, grads_b = _backward(params.weights, activations, pre_acts, labels)
+    return MlpParams(params.layer_sizes, grads_w, grads_b).as_vector()
 
 
 def sgd_step(weights, biases, x, y, lr) -> None:
-    """One in-place mini-batch SGD step on one model or on a stack of K.
-
-    One model: x is (b, d), y is (b,), weights[i] is (fan_in, fan_out) and
-    biases[i] is (fan_out,). A stack: x is (K, b, d), y is (K, b),
-    weights[i] is (K, fan_in, fan_out) and biases[i] is (K, fan_out); entry
-    k of the stack sees only x[k] and y[k]. Each step does the arithmetic of
-    mlp_forward + mlp_backward in the same order and updates each
-    weights[i] / biases[i] with `-= lr * grad`. A stacked matmul makes the
-    same gemm call per entry as a 2-D one, so every stack entry ends
-    bit-identical to a one-model step on its own rows.
-    """
-    last = len(weights) - 1
-    # Forward: activations[i] is the input to layer i. A ReLU output is
-    # > 0 exactly where its pre-activation is, so it doubles as the mask.
-    activations = [x]
-    for w, b in zip(weights[:last], biases[:last]):
-        z = activations[-1] @ w
-        z += b[..., None, :]
-        activations.append(np.maximum(z, 0.0, out=z))
-    z = activations[-1] @ weights[last]
-    z += biases[last][..., None, :]
-    # Backward: sigmoid + BCE collapse to dL/dz_out = (p - y) / batch rows.
-    delta = kernels.sigmoid(z)
-    delta -= y[..., None]
-    delta /= y.shape[-1]
-    for i in range(last, -1, -1):
-        grad_w = activations[i].mT @ delta
-        grad_b = delta.sum(axis=-2)
-        if i > 0:
-            delta = delta @ weights[i].mT
-            delta *= activations[i] > 0.0
-        grad_w *= lr
-        weights[i] -= grad_w
-        grad_b *= lr
-        biases[i] -= grad_b
+    """One in-place mini-batch SGD step on one model or on a stack of K:
+    _forward and _backward on x and y (y is (b,) or (K, b)), then
+    `-= lr * grad` on each weights[i] and biases[i]."""
+    activations, pre_acts = _forward(weights, biases, x)
+    grads_w, grads_b = _backward(weights, activations, pre_acts, y)
+    for param, grad in zip((*weights, *biases), (*grads_w, *grads_b)):
+        grad *= lr
+        param -= grad
 
 
 def sgd_epoch(params: MlpParams, ds: Dataset | DatasetStack, hp: MlpHyperparams,

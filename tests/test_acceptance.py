@@ -16,8 +16,8 @@ from fedfraud import cli, data, experiments, federated, metrics, models
 from fedfraud.data import Dataset
 from fedfraud.experiments import ExperimentConfig
 from fedfraud.federated import FEDSGD, FedConfig, make_clients, run_round
-from fedfraud.models import (MlpHyperparams, MlpParams, full_batch_gradient,
-                             init_mlp_params, mlp_forward, mlp_loss)
+from fedfraud.models import (MlpHyperparams, MlpParams, init_mlp_params,
+                             mlp_backward, mlp_forward, mlp_loss)
 from fedfraud.numeric import Rng
 
 from test_federated import make_shards
@@ -91,7 +91,10 @@ def test_02_fedsgd_equals_centralized():
             clients = make_clients(shards, master)
             new_params, _ = run_round(global_params, clients, config, master, 0)
             expected = (global_params.as_vector()
-                        - 0.3 * full_batch_gradient(global_params, pooled))
+                        - 0.3 * mlp_backward(
+                            global_params,
+                            mlp_forward(global_params, pooled.features)[1],
+                            pooled.labels))
             err = np.max(np.abs(new_params.as_vector() - expected))
             assert err <= 1e-12, f"K={k}: max deviation {err:.2e}"
 

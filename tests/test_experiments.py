@@ -159,6 +159,10 @@ class TestCli:
         ("synthetic_features", 0), ("synthetic_fraud_fraction", 1.5),
         ("synthetic_fraud_fraction", 0.0), ("synthetic_separation", -1.0),
         ("synthetic_separation", float("inf")),
+        ("hidden_sizes", (0,)), ("hidden_sizes", (-1,)), ("batch_size", 1.5),
+        ("rounds", 1.5), ("ratio", (0, 1)), ("k_clients", 2.5),
+        ("dt_max_depth", 2.5), ("epochs", True), ("ratio", (1.5, 2)),
+        ("seed", -1),
     ])
     def test_bad_config_value_exit_one_before_writing(self, tmp_path, capsys,
                                                       field, value):

@@ -10,8 +10,8 @@ from fedfraud.errors import DomainError, ShapeError
 from fedfraud.federated import (FEDAVG, FEDSGD, FedConfig, client_results,
                                 local_update, make_clients, run_round,
                                 run_training)
-from fedfraud.models import (MlpHyperparams, full_batch_gradient, init_mlp_params,
-                             mlp_forward, mlp_loss, sgd_epoch)
+from fedfraud.models import (MlpHyperparams, MlpParams, init_mlp_params,
+                             mlp_backward, mlp_forward, mlp_loss, sgd_epoch)
 from fedfraud.numeric import Rng
 
 
@@ -34,7 +34,8 @@ def reference_client_results(clients, global_params, config, round_idx):
     out = []
     for c in clients:
         ds = c.shard.data
-        local = global_params.copy()
+        local = MlpParams.from_vector(global_params.layer_sizes,
+                                      global_params.as_vector())
         round_rng = c.rng.split("round", round_idx)
         for e in range(config.local_epochs):
             sgd_epoch(local, ds, config.hyperparams, round_rng.split("epoch", e))
@@ -108,9 +109,13 @@ class TestLocalUpdate:
         master = Rng(0)
         global_params = init_mlp_params(4, (3,), master)
         client = make_clients(shards, master)[0]
-        vec, _, _ = local_update(client, global_params, FEDSGD)
-        assert np.array_equal(vec, full_batch_gradient(global_params,
-                                                       shards[0].data))
+        vec, _, loss = local_update(client, global_params, FEDSGD)
+        ds = shards[0].data
+        probs, caches = mlp_forward(global_params, ds.features)
+        # local_update reads the loss from the forward's probabilities after
+        # the backward ran, so the backward must leave them intact.
+        assert loss == mlp_loss(probs, ds.labels)
+        assert np.array_equal(vec, mlp_backward(global_params, caches, ds.labels))
 
     def test_local_loss_decreases_over_epochs(self):
         shards, _ = make_shards(300, 1, seed=4)
@@ -202,7 +207,9 @@ class TestRunRound:
         clients = make_clients(shards, master)
         new_params, _ = run_round(global_params, clients, config, master, 0)
 
-        pooled_grad = full_batch_gradient(global_params, ds)
+        pooled_grad = mlp_backward(global_params,
+                                   mlp_forward(global_params, ds.features)[1],
+                                   ds.labels)
         expected = global_params.as_vector() - 0.2 * pooled_grad
         assert np.max(np.abs(new_params.as_vector() - expected)) <= 1e-12
 

@@ -29,6 +29,48 @@ def scalar_forward(params, row):
     return h[0]
 
 
+def scalar_backward(params, X, y):
+    """Neuron-by-neuron oracle for mlp_backward: the mean BCE gradient summed
+    row by row with plain Python loops, flattened as weights[0] (row-major),
+    biases[0], weights[1], ... ReLU'(0) is taken as 0."""
+    last = len(params.weights) - 1
+    grads_w = [[[0.0] * w.shape[1] for _ in range(w.shape[0])] for w in params.weights]
+    grads_b = [[0.0] * b.shape[0] for b in params.biases]
+    for row, label in zip(X, y):
+        inputs, pre_acts = [], []
+        h = list(row)
+        for layer, (w, b) in enumerate(zip(params.weights, params.biases)):
+            inputs.append(h)
+            z = []
+            for j in range(w.shape[1]):
+                zj = b[j]
+                for i in range(w.shape[0]):
+                    zj += h[i] * w[i, j]
+                z.append(zj)
+            pre_acts.append(z)
+            if layer == last:
+                h = [1.0 / (1.0 + math.exp(-zj)) for zj in z]
+            else:
+                h = [max(0.0, zj) for zj in z]
+        delta = [(h[0] - label) / len(y)]
+        for layer in range(last, -1, -1):
+            w = params.weights[layer]
+            for j in range(w.shape[1]):
+                grads_b[layer][j] += delta[j]
+                for i in range(w.shape[0]):
+                    grads_w[layer][i][j] += inputs[layer][i] * delta[j]
+            if layer > 0:
+                delta = [sum(w[i, j] * delta[j] for j in range(w.shape[1]))
+                         if pre_acts[layer - 1][i] > 0.0 else 0.0
+                         for i in range(w.shape[0])]
+    flat = []
+    for gw, gb in zip(grads_w, grads_b):
+        for gw_row in gw:
+            flat.extend(gw_row)
+        flat.extend(gb)
+    return np.array(flat)
+
+
 def finite_difference_gradient(params, X, y, step=1e-5):
     vec = params.as_vector()
     grad = np.empty_like(vec)
@@ -130,13 +172,43 @@ class TestBackward:
         g2 = mlp_backward(params, c2, y2)
         assert np.allclose(g1, g2, atol=1e-14)
 
+    @staticmethod
+    def _biased_params(hidden):
+        params = init_mlp_params(5, hidden, Rng(6))
+        rng = np.random.default_rng(7)
+        params.biases = [rng.normal(size=b.shape) for b in params.biases]
+        return params
+
+    @pytest.mark.parametrize("hidden", [(), (3,), (4, 2)])
+    def test_matches_scalar_oracle(self, hidden):
+        params = self._biased_params(hidden)
+        X = np.random.default_rng(8).normal(size=(7, 5))
+        y = np.array([1, 0, 0, 1, 0, 1, 0])
+        grad = mlp_backward(params, mlp_forward(params, X)[1], y)
+        np.testing.assert_allclose(grad, scalar_backward(params, X, y), rtol=1e-12)
+
+    def test_relu_derivative_at_zero_is_zero(self):
+        # Hidden unit 1 of the first layer has a zero weight column and a
+        # zero bias, so its pre-activation is exactly 0 on every row.
+        params = self._biased_params((4, 2))
+        params.weights[0][:, 1] = 0.0
+        params.biases[0][1] = 0.0
+        X = np.random.default_rng(9).normal(size=(7, 5))
+        y = np.array([0, 1, 1, 0, 1, 0, 0])
+        _, caches = mlp_forward(params, X)
+        assert np.all(caches[1][0][:, 1] == 0.0)
+        grad = mlp_backward(params, caches, y)
+        np.testing.assert_allclose(grad, scalar_backward(params, X, y), rtol=1e-12)
+        first = MlpParams.from_vector(params.layer_sizes, grad)
+        assert np.all(first.weights[0][:, 1] == 0.0) and first.biases[0][1] == 0.0
+
     def test_gradient_vanishes_at_analytic_minimum(self):
         # Symmetric 1-D data whose BCE minimum sits exactly at w=0, b=0.
         X = np.array([[1.0], [1.0], [-1.0], [-1.0]])
         y = np.array([1, 0, 0, 1])
         ds = Dataset(X, y)
         params = MlpParams((1, 1), [np.zeros((1, 1))], [np.zeros(1)])
-        grad = models.full_batch_gradient(params, ds)
+        grad = mlp_backward(params, mlp_forward(params, ds.features)[1], ds.labels)
         assert np.linalg.norm(grad) <= 1e-6
 
 
@@ -174,7 +246,8 @@ class TestSgd:
         # The epoch shuffles first; use the same permuted batch so the
         # comparison is bit-exact, not just mathematically equal.
         shuffled = ds.take(Rng(1).permutation(ds.n_samples))
-        grad = models.full_batch_gradient(params, shuffled)
+        grad = mlp_backward(params, mlp_forward(params, shuffled.features)[1],
+                            shuffled.labels)
         expected = params.as_vector() - 0.1 * grad
         hp = MlpHyperparams(hidden_sizes=(3,), learning_rate=0.1,
                             batch_size=ds.n_samples)
@@ -196,7 +269,7 @@ class TestSgd:
         hp = MlpHyperparams(hidden_sizes=hidden, learning_rate=0.3,
                             batch_size=batch_size)
         fused = init_mlp_params(5, hidden, Rng(4))
-        reference = fused.copy()
+        reference = MlpParams.from_vector(fused.layer_sizes, fused.as_vector())
         for e in range(3):
             assert sgd_epoch(fused, ds, hp, Rng(8).split(e)) is None
             reference_sgd_epoch(reference, ds, hp, Rng(8).split(e))
