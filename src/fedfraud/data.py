@@ -188,7 +188,9 @@ def fit_standardizer(train: Dataset) -> StandardizationParams:
 
 def apply_standardizer(params: StandardizationParams, ds: Dataset) -> Dataset:
     denom = np.where(params.std > 0.0, params.std, 1.0)
-    return Dataset((ds.features - params.mean) / denom, ds.labels, ds.feature_names)
+    out = ds.features - params.mean
+    out /= denom
+    return Dataset(out, ds.labels, ds.feature_names)
 
 
 def stratified_split(ds: Dataset, test_fraction: float, rng: Rng):

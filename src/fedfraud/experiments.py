@@ -193,39 +193,58 @@ def load_source(cfg: ExperimentConfig) -> datamod.Dataset:
 def prepare_splits(ds: datamod.Dataset, cfg: ExperimentConfig, rng: Rng):
     """Resample to the target ratio, split 80/20 stratified, standardize with
     train statistics. Returns (train, test)."""
+    # The input and the resampled rows are dropped before standardizing, so
+    # when the caller passes a temporary pool (run_sweep) only train and
+    # test are held from then on.
     resampled = datamod.resample_ratio(ds, cfg.ratio, rng.split("resample"))
+    del ds
     train, test = datamod.stratified_split(resampled, cfg.test_fraction,
                                            rng.split("split"))
+    del resampled
     std = datamod.fit_standardizer(train)
     return datamod.apply_standardizer(std, train), datamod.apply_standardizer(std, test)
 
 
-def train_model(name: str, train: datamod.Dataset, cfg: ExperimentConfig,
-                rng: Rng):
-    """Train one model; returns (predict_proba callable, round reports or [])."""
-    if name == "lr":
-        clf = models.LogisticRegression(cfg.hyperparams()).fit(train, rng.split("lr"))
-        return clf.predict_proba, []
-    if name == "dt":
-        clf = cfg.decision_tree().fit(train, rng.split("dt"))
-        return clf.predict_proba, []
-    if name == "mlp_central":
-        clf = models.MlpClassifier(cfg.hyperparams()).fit(train, rng.split("mlp"))
-        return clf.predict_proba, []
+def train_model(name: str, cells):
+    """Train one model per cell; `cells` is an iterable of (train, cfg, rng).
+    Returns one (predict_proba callable, round reports or []) per cell.
+
+    mlp_fed trains the cells' federations side by side in one
+    federated.run_training call. Each cell is partitioned as soon as it is
+    drawn, so of a cell only its shards stay held.
+    """
     if name == "mlp_fed":
-        shards = datamod.partition(train, cfg.k_clients, cfg.partition_scheme,
-                                   rng.split("partition"),
-                                   dirichlet_alpha=cfg.dirichlet_alpha,
-                                   fraud_concentration=cfg.fraud_concentration)
-        params, reports = federated.run_training(shards, None, cfg.fed_config())
+        shards, configs = [], []
+        for train, cfg, rng in cells:
+            shards.append(datamod.partition(
+                train, cfg.k_clients, cfg.partition_scheme,
+                rng.split("partition"), dirichlet_alpha=cfg.dirichlet_alpha,
+                fraud_concentration=cfg.fraud_concentration))
+            configs.append(cfg.fed_config())
+        fits = federated.run_training(shards, [None] * len(configs), configs)
+        return [(_mlp_proba(params), reports) for params, reports in fits]
+    if name not in ("lr", "dt", "mlp_central"):
+        raise ConfigError(f"unknown model {name!r}")
+    return [(_fit_central(name, train, cfg, rng), []) for train, cfg, rng in cells]
 
-        def proba(features):
-            p, _ = models.mlp_forward(params, features)
-            return p
 
-        proba.params = params
-        return proba, reports
-    raise ConfigError(f"unknown model {name!r}")
+def _fit_central(name: str, train: datamod.Dataset, cfg: ExperimentConfig, rng: Rng):
+    if name == "lr":
+        return models.LogisticRegression(cfg.hyperparams()).fit(
+            train, rng.split("lr")).predict_proba
+    if name == "dt":
+        return cfg.decision_tree().fit(train, rng.split("dt")).predict_proba
+    return models.MlpClassifier(cfg.hyperparams()).fit(
+        train, rng.split("mlp")).predict_proba
+
+
+def _mlp_proba(params: models.MlpParams):
+    def proba(features):
+        p, _ = models.mlp_forward(params, features)
+        return p
+
+    proba.params = params
+    return proba
 
 
 # --- report writing ---------------------------------------------------------
@@ -291,7 +310,7 @@ def run_benchmark(cfg: ExperimentConfig) -> list[dict]:
     rows = []
     fed_reports = []
     for name in BENCHMARK_MODELS:
-        proba, reports = train_model(name, train, cfg, rng)
+        [(proba, reports)] = train_model(name, [(train, cfg, rng)])
         row = {"model": name}
         row.update(metrics.summarize(proba(test.features), test.labels,
                                      cfg.threshold))
@@ -317,7 +336,7 @@ def run_fed_vs_central(cfg: ExperimentConfig) -> dict:
     rng = Rng(cfg.seed)
     train, test = prepare_splits(source, cfg, rng)
 
-    central_proba, _ = train_model("mlp_central", train, cfg, rng)
+    [(central_proba, _)] = train_model("mlp_central", [(train, cfg, rng)])
     central = metrics.summarize(central_proba(test.features), test.labels,
                                 cfg.threshold)
 
@@ -325,7 +344,7 @@ def run_fed_vs_central(cfg: ExperimentConfig) -> dict:
                                rng.split("partition"),
                                dirichlet_alpha=cfg.dirichlet_alpha,
                                fraud_concentration=cfg.fraud_concentration)
-    params, reports = federated.run_training(shards, test, cfg.fed_config())
+    [(params, reports)] = federated.run_training([shards], [test], [cfg.fed_config()])
     fed_proba, _ = models.mlp_forward(params, test.features)
     fed = metrics.summarize(fed_proba, test.labels, cfg.threshold)
 
@@ -356,9 +375,26 @@ def _stratified_subsample(ds: datamod.Dataset, n: int, rng: Rng) -> datamod.Data
     return ds.take(np.sort(np.concatenate(idx)))
 
 
+def _sweep_cells(source: datamod.Dataset, cfg: ExperimentConfig,
+                 sample_count: int, ratio_name: str, tests: list):
+    """The sweep_repeats cells (train, cfg, rng) of one grid point, each
+    drawn when the consumer asks for it; the test sets go to `tests`."""
+    ratio = parse_ratio(ratio_name)
+    for rep in range(cfg.sweep_repeats):
+        seed = cfg.seed + rep
+        cell_cfg = dataclasses.replace(cfg, ratio=ratio, seed=seed)
+        rng = Rng(seed).split("sweep", sample_count, ratio_name)
+        train, test = prepare_splits(_stratified_subsample(source, sample_count, rng),
+                                     cell_cfg, rng)
+        tests.append(test)
+        yield train, cell_cfg, rng
+
+
 def run_sweep(cfg: ExperimentConfig) -> list[dict]:
     """Sampling-ratio sensitivity: for each (sample_count, ratio, seed), draw
-    a pool of sample_count rows, resample to the ratio, train, record AUC."""
+    a pool of sample_count rows, resample to the ratio, train, record AUC.
+    The repeats of one (sample_count, ratio) grid point train in one
+    train_model call."""
     source = load_source(cfg)
     _write_common(cfg, cfg.out)
 
@@ -371,17 +407,13 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict]:
             )
             continue
         for ratio_name in cfg.sweep_ratios:
-            ratio = parse_ratio(ratio_name)
-            for rep in range(cfg.sweep_repeats):
-                seed = cfg.seed + rep
-                cell_cfg = dataclasses.replace(cfg, ratio=ratio, seed=seed)
-                rng = Rng(seed).split("sweep", sample_count, ratio_name)
-                pool = _stratified_subsample(source, sample_count, rng)
-                train, test = prepare_splits(pool, cell_cfg, rng)
-                proba, _ = train_model(cfg.sweep_model, train, cell_cfg, rng)
+            tests = []
+            fits = train_model(cfg.sweep_model, _sweep_cells(
+                source, cfg, sample_count, ratio_name, tests))
+            for rep, ((proba, _), test) in enumerate(zip(fits, tests, strict=True)):
                 _, auc = metrics.roc_auc(proba(test.features), test.labels)
                 rows.append({"sample_count": sample_count, "ratio": ratio_name,
-                             "seed": seed, "auc": auc})
+                             "seed": cfg.seed + rep, "auc": auc})
 
     rows.sort(key=lambda r: (r["sample_count"], r["ratio"], r["seed"]))
     header = ["sample_count", "ratio", "seed", "auc"]

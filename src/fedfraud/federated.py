@@ -5,17 +5,22 @@ sample-count weights, advance the global model. Client RNG streams are
 derived from (seed, client id, round), so results do not depend on the
 order in which clients are processed.
 
-In FedAvg mode a round's clients train in lockstep: their models form one
-K-stacked set of arrays and their shards a DatasetStack, and each epoch is
-one models.sgd_epoch over the stack. This is bit-identical to training each
-client on its own: a stacked matmul makes the same gemm call per stack
+run_training, run_round and client_results train F independent federations
+side by side (benchmark and fed-vs-central run F=1; the sampling sweep runs
+a grid point's repeats). Their configs agree on every field but seed. In
+FedAvg mode a round's clients of all F federations train in lockstep: their
+models form one K-stacked set of arrays, each entry starting from its own
+federation's global model, and their shards a DatasetStack, and each epoch
+is one models.sgd_epoch over the stack. This is bit-identical to training
+each client on its own: a stacked matmul makes the same gemm call per stack
 entry as a 2-D matmul, the elementwise ops, the sigmoid and the per-entry
 sums do the same arithmetic on each element, and no stack entry reads
-another client's rows.
+another client's rows. Aggregation stays per federation.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -87,36 +92,57 @@ def local_update(client: ClientState, params: MlpParams, mode: str):
     return payload, ds.n_samples, mlp_loss(probs, ds.labels)
 
 
-def client_results(clients: list[ClientState], global_params: MlpParams,
-                   config: FedConfig, round_idx: int):
-    """local_update of each client, in the given order.
+def _shared_config(configs: list[FedConfig]) -> FedConfig:
+    """The config that federations trained together share: they may differ
+    in seed only."""
+    if not configs:
+        raise DomainError("need at least one federation")
+    first = configs[0]
+    for config in configs[1:]:
+        if dataclasses.replace(config, seed=first.seed) != first:
+            raise DomainError("federations trained together must agree on every "
+                              f"config field but seed; got {first} and {config}")
+    return first
 
-    In FedAvg mode each client first trains a copy of the global parameters
-    for `local_epochs` epochs of mini-batch SGD, all clients in lockstep.
+
+def client_results(clients: list[list[ClientState]],
+                   global_params: list[MlpParams], config: FedConfig,
+                   round_idx: int):
+    """local_update of each client of F federations: clients[f] are
+    federation f's clients, global_params[f] its global model and `config`
+    the config they share. Returns one list per federation, in the given
+    client order.
+
+    In FedAvg mode each client first trains a copy of its federation's
+    global parameters for `local_epochs` epochs of mini-batch SGD, all
+    clients of all federations in lockstep.
     """
     mode = config.aggregation_mode
     if mode == FEDSGD:
-        return [local_update(c, global_params, mode) for c in clients]
-    # Largest shard first, ties by client id (see DatasetStack).
-    ranked = sorted(range(len(clients)), key=lambda k: (
-        -clients[k].shard.data.n_samples, clients[k].client_id))
-    stack = DatasetStack(tuple(clients[k].shard.data for k in ranked))
-    trained = MlpParams(global_params.layer_sizes,
-                        [np.repeat(w[None], len(ranked), axis=0)
-                         for w in global_params.weights],
-                        [np.repeat(b[None], len(ranked), axis=0)
-                         for b in global_params.biases])
-    round_rngs = [clients[k].rng.split("round", round_idx) for k in ranked]
+        return [[local_update(c, params, mode) for c in fed]
+                for fed, params in zip(clients, global_params, strict=True)]
+    # Largest shard first, ties by federation and client id (see DatasetStack).
+    entries = sorted(((f, k, c) for f, fed in enumerate(clients)
+                      for k, c in enumerate(fed)),
+                     key=lambda e: (-e[2].shard.data.n_samples, e[0], e[2].client_id))
+    stack = DatasetStack(tuple(c.shard.data for _, _, c in entries))
+    # Entry pos starts from global_params[fed_of[pos]].
+    fed_of = np.array([f for f, _, _ in entries])
+    layer_sizes = global_params[0].layer_sizes
+    trained = MlpParams(
+        layer_sizes,
+        [np.stack(ws)[fed_of] for ws in zip(*(p.weights for p in global_params))],
+        [np.stack(bs)[fed_of] for bs in zip(*(p.biases for p in global_params))])
+    round_rngs = [c.rng.split("round", round_idx) for _, _, c in entries]
     for e in range(config.local_epochs):
         sgd_epoch(trained, stack, config.hyperparams,
                   [rng.split("epoch", e) for rng in round_rngs])
 
-    results = [None] * len(clients)
-    for pos, k in enumerate(ranked):
-        local = MlpParams(global_params.layer_sizes,
-                          [w[pos] for w in trained.weights],
+    results = [[None] * len(fed) for fed in clients]
+    for pos, (f, k, c) in enumerate(entries):
+        local = MlpParams(layer_sizes, [w[pos] for w in trained.weights],
                           [b[pos] for b in trained.biases])
-        results[k] = local_update(clients[k], local, mode)
+        results[f][k] = local_update(c, local, mode)
     return results
 
 
@@ -129,26 +155,28 @@ def select_participants(clients: list[ClientState], config: FedConfig,
     return [clients[i] for i in chosen]
 
 
-def run_round(global_params: MlpParams, clients: list[ClientState],
-              config: FedConfig, master: Rng, round_idx: int,
-              test: Dataset | None = None):
-    participants = select_participants(clients, config, master, round_idx)
-
+def _active_clients(clients: list[ClientState], config: FedConfig, master: Rng,
+                    round_idx: int) -> list[ClientState]:
     active = []
-    for c in participants:
+    for c in select_participants(clients, config, master, round_idx):
         if c.shard.data.n_samples == 0:
             warnings.warn(f"client {c.client_id} has an empty shard; skipping")
             continue
         active.append(c)
     if not active:
         raise DomainError(f"round {round_idx}: no clients with data")
+    return active
 
-    results = client_results(active, global_params, config, round_idx)
 
+def _advance(global_params: MlpParams, active: list[ClientState], results,
+             config: FedConfig, round_idx: int, test: Dataset | None):
+    """One federation's aggregation step from its clients' results: the new
+    global params and the round's RoundReport."""
     for c, (vec, _, loss) in zip(active, results):
         if not (np.isfinite(loss) and np.isfinite(vec).all()):
-            raise DomainError(f"round {round_idx}: client {c.client_id} returned a "
-                              "non-finite update or local loss")
+            raise DomainError(f"round {round_idx}: client {c.client_id} (seed "
+                              f"{config.seed}) returned a non-finite update or "
+                              "local loss")
 
     # Fixed client-id order into the aggregator.
     contributions = [(vec, n_k) for vec, n_k, _ in results]
@@ -176,22 +204,56 @@ def run_round(global_params: MlpParams, clients: list[ClientState],
     return new_params, report
 
 
-def run_training(shards: list[ClientShard], test: Dataset | None,
-                 config: FedConfig):
-    """Full federated run: seeded init, T rounds, per-round test metrics.
+def run_round(global_params: list[MlpParams], clients: list[list[ClientState]],
+              configs: list[FedConfig], masters: list[Rng], round_idx: int,
+              tests: list[Dataset | None] | None = None):
+    """Round `round_idx` of F federations: federation f has global model
+    global_params[f], clients[f], configs[f], master Rng masters[f] and test
+    set tests[f] (default: none). All active clients train in one
+    client_results call; aggregation, the finiteness check, the train loss
+    and the test metrics are per federation.
 
-    Returns (final MlpParams, list of RoundReport).
+    Returns (new global params, RoundReport), each a list over federations.
     """
-    if not shards:
-        raise DomainError("run_training needs at least one shard")
-    master = Rng(config.seed)
-    input_dim = shards[0].data.n_features
-    global_params = init_mlp_params(input_dim, config.hyperparams.hidden_sizes, master)
-    clients = make_clients(shards, master)
-
-    reports = []
-    for t in range(config.rounds):
-        global_params, report = run_round(global_params, clients, config,
-                                          master, t, test)
+    config = _shared_config(configs)
+    if tests is None:
+        tests = [None] * len(configs)
+    active = [_active_clients(fed, cfg, master, round_idx)
+              for fed, cfg, master in zip(clients, configs, masters, strict=True)]
+    results = client_results(active, global_params, config, round_idx)
+    new_params, reports = [], []
+    for params, fed_active, fed_results, cfg, test in zip(
+            global_params, active, results, configs, tests, strict=True):
+        params, report = _advance(params, fed_active, fed_results, cfg,
+                                  round_idx, test)
+        new_params.append(params)
         reports.append(report)
-    return global_params, reports
+    return new_params, reports
+
+
+def run_training(shards: list[list[ClientShard]], tests: list[Dataset | None],
+                 configs: list[FedConfig]):
+    """F federated runs, trained side by side: federation f has client
+    shards shards[f], test set tests[f] (None for no per-round metrics) and
+    configs[f]. Each gets a seeded init, T rounds and per-round reports,
+    bit-identical to a run of that federation alone; the configs must agree
+    on every field but seed.
+
+    Returns one (final MlpParams, list of RoundReport) per federation.
+    """
+    config = _shared_config(configs)
+    if len(shards) != len(configs) or not all(shards):
+        raise DomainError("run_training needs at least one shard per federation")
+    masters = [Rng(c.seed) for c in configs]
+    params = [init_mlp_params(fed[0].data.n_features,
+                              config.hyperparams.hidden_sizes, master)
+              for fed, master in zip(shards, masters)]
+    clients = [make_clients(fed, master) for fed, master in zip(shards, masters)]
+
+    reports = [[] for _ in configs]
+    for t in range(config.rounds):
+        params, round_reports = run_round(params, clients, configs, masters, t,
+                                          tests)
+        for fed_reports, report in zip(reports, round_reports):
+            fed_reports.append(report)
+    return list(zip(params, reports))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -106,13 +107,17 @@ def roc_auc(probs, labels):
 
 
 def summarize(probs, labels, threshold: float = 0.5) -> dict:
-    """All benchmark metrics at once: auc, accuracy, precision, recall, f1."""
+    """All benchmark metrics at once: auc, accuracy, precision, recall, f1.
+
+    A precision, recall or F1 whose denominator is zero is reported as 0.0
+    and warns, naming the metric.
+    """
     cm = confusion(probs, labels, threshold)
     _, auc = roc_auc(probs, labels)
-    return {
-        "auc": auc,
-        "accuracy": accuracy(cm),
-        "precision": precision(cm).value,
-        "recall": recall(cm).value,
-        "f1": f1(cm).value,
-    }
+    out = {"auc": auc, "accuracy": accuracy(cm)}
+    for name, metric in (("precision", precision), ("recall", recall), ("f1", f1)):
+        result = metric(cm)
+        if result.degenerate:
+            warnings.warn(f"{name} has a zero denominator; reported as 0.0")
+        out[name] = result.value
+    return out

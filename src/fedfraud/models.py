@@ -24,6 +24,7 @@ from .errors import DataError, DomainError, ShapeError
 from .numeric import Rng
 
 PROB_EPS = 1e-12  # clamp before log so the loss stays finite
+GATHER_BLOCK = 16  # batch positions per row gather in a lockstep epoch
 
 CHECKPOINT_FORMAT = "fedfraud-mlp"
 CHECKPOINT_VERSION = 1
@@ -219,21 +220,35 @@ def _lockstep_epoch(params: MlpParams, members, hp: MlpHyperparams, rngs) -> Non
                          f"stacked models, got {len(rngs)} and "
                          f"{params.weights[0].shape[0]}")
     features = [np.asarray(m.features, dtype=np.float64) for m in members]
-    labels = [np.asarray(m.labels, dtype=np.float64) for m in members]
+    labels = [m.labels for m in members]
     sizes = [m.n_samples for m in members]
     orders = [rng.permutation(n) for rng, n in zip(rngs, sizes)]
+    # Each step reads its batches as views of x_block / y_block. Every
+    # GATHER_BLOCK batch positions, each member with rows left copies its
+    # next GATHER_BLOCK batches of rows, in permutation order, into its entry.
+    block = GATHER_BLOCK * hp.batch_size
+    x_block = np.empty((len(members), min(block, sizes[0]), features[0].shape[1]))
+    y_block = np.empty(x_block.shape[:2])
     for start in range(0, sizes[0], hp.batch_size):
+        offset = start % block
         # Members with rows left are a prefix; those sharing a batch size
         # are a contiguous range of it, and train on views of the stack.
-        lo = 0
         batch_sizes = [min(hp.batch_size, n - start) for n in sizes if n > start]
+        if offset == 0:
+            for k in range(len(batch_sizes)):
+                rows = orders[k][start:start + block]
+                # The rows are a permutation slice, always in range; "clip"
+                # lets take write into out without a buffer.
+                np.take(features[k], rows, axis=0, out=x_block[k, :rows.size],
+                        mode="clip")
+                y_block[k, :rows.size] = labels[k][rows]
+        lo = 0
         for size, same in itertools.groupby(batch_sizes):
             hi = lo + len(list(same))
-            rows = [order[start:start + size] for order in orders[lo:hi]]
-            x = np.stack([f[idx] for f, idx in zip(features[lo:hi], rows)])
-            y = np.stack([lab[idx] for lab, idx in zip(labels[lo:hi], rows)])
             sgd_step([w[lo:hi] for w in params.weights],
-                     [b[lo:hi] for b in params.biases], x, y, hp.learning_rate)
+                     [b[lo:hi] for b in params.biases],
+                     x_block[lo:hi, offset:offset + size],
+                     y_block[lo:hi, offset:offset + size], hp.learning_rate)
             lo = hi
 
 

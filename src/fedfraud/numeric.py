@@ -14,14 +14,21 @@ class Rng:
 
     Children are derived from the master seed plus a label path, so the
     stream a worker sees depends only on its label, never on scheduling
-    order.
+    order. The generator is built on the first draw, so an Rng that is only
+    split (a client's or a round's) costs no SeedSequence or PCG64.
     """
 
     def __init__(self, seed: int, _path: tuple[int, ...] = ()):
         self.seed = int(seed)
         self._path = tuple(_path)
-        ss = np.random.SeedSequence(self.seed, spawn_key=self._path)
-        self._gen = np.random.Generator(np.random.PCG64(ss))
+        self._built = None
+
+    @property
+    def _gen(self) -> np.random.Generator:
+        if self._built is None:
+            ss = np.random.SeedSequence(self.seed, spawn_key=self._path)
+            self._built = np.random.Generator(np.random.PCG64(ss))
+        return self._built
 
     def split(self, *labels) -> "Rng":
         path = self._path

@@ -89,7 +89,8 @@ def test_02_fedsgd_equals_centralized():
             master = Rng(k)
             global_params = init_mlp_params(4, (4,), master)
             clients = make_clients(shards, master)
-            new_params, _ = run_round(global_params, clients, config, master, 0)
+            [new_params], _ = run_round([global_params], [clients], [config],
+                                        [master], 0)
             expected = (global_params.as_vector()
                         - 0.3 * mlp_backward(
                             global_params,

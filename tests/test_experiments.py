@@ -1,14 +1,19 @@
+import dataclasses
 import filecmp
 import json
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fedfraud import cli, experiments
+from fedfraud import cli, experiments, metrics
 from fedfraud.errors import ConfigError
 from fedfraud.experiments import ExperimentConfig, load_config, parse_ratio
+from fedfraud.numeric import Rng
 
 
 def fast_overrides(tmp_path, **extra):
@@ -133,6 +138,39 @@ class TestSweep:
         with pytest.warns(UserWarning, match="skipping"):
             rows = experiments.run_sweep(cfg)
         assert {r["sample_count"] for r in rows} == {400}
+
+
+    def test_mlp_fed_grid_point_matches_cells_trained_alone(self, tmp_path):
+        cfg = ExperimentConfig(**fast_overrides(
+            tmp_path, seed=3, sweep_sample_counts=(600,),
+            sweep_ratios=("1:1", "1:3"), sweep_repeats=3,
+            sweep_model="mlp_fed"))
+        rows = experiments.run_sweep(cfg)
+        assert len(rows) == 2 * 3
+        source = experiments.load_source(cfg)
+        for row in rows:
+            cell_cfg = dataclasses.replace(cfg, ratio=parse_ratio(row["ratio"]),
+                                           seed=row["seed"])
+            rng = Rng(row["seed"]).split("sweep", row["sample_count"], row["ratio"])
+            pool = experiments._stratified_subsample(source, row["sample_count"], rng)
+            train, test = experiments.prepare_splits(pool, cell_cfg, rng)
+            [(proba, _)] = experiments.train_model("mlp_fed", [(train, cell_cfg, rng)])
+            _, auc = metrics.roc_auc(proba(test.features), test.labels)
+            assert auc == row["auc"]
+
+
+class TestTracedNames:
+    def test_every_perfbench_patch_target_exists(self):
+        # perfbench/traced.py patches functions by name; a renamed one would
+        # silently drop its per-layer metrics.
+        root = Path(__file__).resolve().parents[1]
+        code = ("import json, sys; sys.path.insert(0, 'perfbench'); import traced; "
+                "print(json.dumps(traced.install(traced.Recorder())))")
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
 
 
 class TestCli:

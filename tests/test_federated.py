@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -100,7 +102,7 @@ class TestLocalUpdate:
         master = Rng(0)
         global_params = init_mlp_params(4, (3,), master)
         client = make_clients(shards, master)[0]
-        [(vec, n_k, _)] = client_results([client], global_params, config, 0)
+        [[(vec, n_k, _)]] = client_results([[client]], [global_params], config, 0)
         assert np.array_equal(vec, global_params.as_vector())
         assert n_k == shards[0].data.n_samples
 
@@ -126,7 +128,7 @@ class TestLocalUpdate:
         client = make_clients(shards, master)[0]
         before = models.mlp_loss(models.mlp_forward(params, shards[0].data.features)[0],
                                  shards[0].data.labels)
-        [(_, _, after)] = client_results([client], params, config, 0)
+        [[(_, _, after)]] = client_results([[client]], [params], config, 0)
         assert after < before
 
     @settings(max_examples=60, deadline=None)
@@ -140,6 +142,10 @@ class TestLocalUpdate:
              local_epochs=2, n_features=3, seed=1)
     @example(sizes=[5, 80, 64, 80], batch_size=32, hidden=(3,), local_epochs=3,
              n_features=2, seed=2)
+    # Gather blocks of 16 batches of 2 rows: members cross block boundaries
+    # and run out mid-block at different batch positions.
+    @example(sizes=[80, 79, 33, 17, 16], batch_size=2, hidden=(3,),
+             local_epochs=2, n_features=3, seed=3)
     def test_lockstep_matches_per_client_loop(self, sizes, batch_size, hidden,
                                               local_epochs, n_features, seed):
         gen = np.random.default_rng(seed)
@@ -155,7 +161,7 @@ class TestLocalUpdate:
         clients = make_clients(shards, master)
 
         expected = reference_client_results(clients, global_params, config, 5)
-        got = client_results(clients, global_params, config, 5)
+        [got] = client_results([clients], [global_params], config, 5)
         for (vec, n_k, loss), (ref_vec, ref_n, ref_loss) in zip(got, expected,
                                                                  strict=True):
             assert np.array_equal(vec, ref_vec)
@@ -164,7 +170,8 @@ class TestLocalUpdate:
             assert loss == ref_loss
 
         # run_round aggregates exactly these results, in client-id order.
-        new_params, report = run_round(global_params, clients, config, master, 5)
+        [new_params], [report] = run_round([global_params], [clients], [config],
+                                           [master], 5)
         agg = aggregate([(vec, n_k) for vec, n_k, _ in expected])
         assert np.array_equal(new_params.as_vector(), agg)
         assert report.participant_ids == list(range(len(sizes)))
@@ -177,7 +184,7 @@ class TestLocalUpdate:
         master = Rng(0)
         clients = make_clients(shards + [empty], master)
         with pytest.raises(DomainError, match="empty shard"):
-            client_results(clients, init_mlp_params(4, (3,), master), config, 0)
+            client_results([clients], [init_mlp_params(4, (3,), master)], config, 0)
 
 
 class TestRunRound:
@@ -186,7 +193,7 @@ class TestRunRound:
         hp = MlpHyperparams(hidden_sizes=(4,), learning_rate=0.1, batch_size=16)
         config = FedConfig(k_clients=1, rounds=1, local_epochs=3,
                            hyperparams=hp, seed=2)
-        params, _ = run_training(shards, None, config)
+        [(params, _)] = run_training([shards], [None], [config])
 
         # Centralized SGD from the same init with the same derived stream.
         master = Rng(2)
@@ -205,7 +212,7 @@ class TestRunRound:
         master = Rng(k)
         global_params = init_mlp_params(4, (3,), master)
         clients = make_clients(shards, master)
-        new_params, _ = run_round(global_params, clients, config, master, 0)
+        [new_params], _ = run_round([global_params], [clients], [config], [master], 0)
 
         pooled_grad = mlp_backward(global_params,
                                    mlp_forward(global_params, ds.features)[1],
@@ -220,9 +227,9 @@ class TestRunRound:
         master = Rng(1)
         params = init_mlp_params(4, (3,), master)
         clients = make_clients(shards, master)
-        _, report = run_round(params, clients, config, master, 0)
+        _, [report] = run_round([params], [clients], [config], [master], 0)
         assert len(report.participant_ids) == 2
-        _, report2 = run_round(params, clients, config, Rng(1), 0)
+        _, [report2] = run_round([params], [clients], [config], [Rng(1)], 0)
         assert report.participant_ids == report2.participant_ids
 
     def test_empty_shards_skipped_with_warning(self):
@@ -235,7 +242,7 @@ class TestRunRound:
         params = init_mlp_params(3, (2,), master)
         clients = make_clients(shards, master)
         with pytest.warns(UserWarning, match="empty shard"):
-            _, report = run_round(params, clients, config, master, 0)
+            _, [report] = run_round([params], [clients], [config], [master], 0)
         assert report.participant_ids == [0]
 
     def test_all_empty_is_round_error(self):
@@ -247,7 +254,8 @@ class TestRunRound:
         params = init_mlp_params(3, (2,), master)
         with pytest.warns(UserWarning):
             with pytest.raises(DomainError):
-                run_round(params, make_clients(shards, master), config, master, 0)
+                run_round([params], [make_clients(shards, master)], [config],
+                          [master], 0)
 
     @pytest.mark.parametrize("poison", ["update", "loss"])
     def test_non_finite_client_result_names_round_and_client(self, monkeypatch,
@@ -259,21 +267,21 @@ class TestRunRound:
 
         def poisoned(clients, params, cfg, round_idx):
             results = real_results(clients, params, cfg, round_idx)
-            pos = [c.client_id for c in clients].index(1)
-            vec, n_k, loss = results[pos]
+            pos = [c.client_id for c in clients[0]].index(1)
+            vec, n_k, loss = results[0][pos]
             vec = vec.copy()
             if poison == "update":
                 vec[0] = np.nan
             else:
                 loss = np.inf
-            results[pos] = (vec, n_k, loss)
+            results[0][pos] = (vec, n_k, loss)
             return results
 
         monkeypatch.setattr(federated, "client_results", poisoned)
         master = Rng(4)
         params = init_mlp_params(4, (2,), master)
         with pytest.raises(DomainError, match="round 3: client 1 .*non-finite"):
-            run_round(params, make_clients(shards, master), config, master, 3)
+            run_round([params], [make_clients(shards, master)], [config], [master], 3)
 
 
 class TestRunTraining:
@@ -281,7 +289,7 @@ class TestRunTraining:
         shards, _ = make_shards(100, 2)
         config = FedConfig(k_clients=2, rounds=0,
                            hyperparams=MlpHyperparams(hidden_sizes=(3,)), seed=0)
-        params, reports = run_training(shards, None, config)
+        [(params, reports)] = run_training([shards], [None], [config])
         assert reports == []
         assert np.array_equal(params.as_vector(),
                               init_mlp_params(4, (3,), Rng(0)).as_vector())
@@ -293,14 +301,14 @@ class TestRunTraining:
         config = FedConfig(k_clients=3, rounds=1, aggregation_mode=mode,
                            hyperparams=MlpHyperparams(hidden_sizes=(3,)))
         with pytest.raises(ShapeError, match="input has 3 features, model expects 4"):
-            run_training(shards + [narrow], None, config)
+            run_training([shards + [narrow]], [None], [config])
 
     def test_loss_trend_on_separable_data(self):
         shards, _ = make_shards(600, 3, seed=6)
         hp = MlpHyperparams(hidden_sizes=(4,), learning_rate=0.1, batch_size=16)
         config = FedConfig(k_clients=3, rounds=8, local_epochs=2,
                            hyperparams=hp, seed=6)
-        _, reports = run_training(shards, None, config)
+        [(_, reports)] = run_training([shards], [None], [config])
         assert reports[-1].train_loss < reports[0].train_loss
 
     def test_bit_identical_reports_under_seed(self):
@@ -308,8 +316,8 @@ class TestRunTraining:
         test = data.make_synthetic(100, 0.2, 3.0, 4, Rng(99))
         config = FedConfig(k_clients=3, rounds=4,
                            hyperparams=MlpHyperparams(hidden_sizes=(3,)), seed=7)
-        p1, r1 = run_training(shards, test, config)
-        p2, r2 = run_training(shards, test, config)
+        [(p1, r1)] = run_training([shards], [test], [config])
+        [(p2, r2)] = run_training([shards], [test], [config])
         assert np.array_equal(p1.as_vector(), p2.as_vector())
         for a, b in zip(r1, r2):
             assert a.train_loss == b.train_loss
@@ -320,8 +328,64 @@ class TestRunTraining:
         shards, _ = make_shards(200, 2, seed=9, scheme="quantity_skew")
         config = FedConfig(k_clients=2, rounds=1,
                            hyperparams=MlpHyperparams(hidden_sizes=(3,)), seed=9)
-        _, reports = run_training(shards, None, config)
+        [(_, reports)] = run_training([shards], [None], [config])
         assert np.isfinite(reports[0].train_loss)
+
+
+class TestBatchedFederations:
+    @settings(max_examples=30, deadline=None)
+    @given(n_feds=st.integers(1, 3), k=st.integers(1, 4),
+           sizes=st.lists(st.integers(1, 40), min_size=12, max_size=12),
+           mode=st.sampled_from([FEDAVG, FEDSGD]),
+           participation=st.sampled_from([0.5, 1.0]),
+           batch_size=st.integers(1, 16), seed=st.integers(0, 2**16))
+    @example(n_feds=3, k=4, sizes=[40, 3, 17, 17, 1, 40, 9, 9, 25, 2, 33, 8],
+             mode=FEDAVG, participation=0.5, batch_size=4, seed=5)
+    def test_together_equals_alone(self, n_feds, k, sizes, mode, participation,
+                                   batch_size, seed):
+        gen = np.random.default_rng(seed)
+        hp = MlpHyperparams(hidden_sizes=(3,), learning_rate=0.3,
+                            batch_size=batch_size)
+        shards, tests, configs = [], [], []
+        for f in range(n_feds):
+            shards.append([ClientShard(cid, Dataset(gen.normal(size=(n, 3)),
+                                                    gen.integers(0, 2, n)))
+                           for cid, n in enumerate(sizes[f * k:(f + 1) * k])])
+            tests.append(Dataset(gen.normal(size=(12, 3)), np.arange(12) % 2))
+            configs.append(FedConfig(k_clients=k, rounds=2, local_epochs=2,
+                                     participation=participation,
+                                     aggregation_mode=mode, hyperparams=hp,
+                                     seed=seed + f))
+
+        together = run_training(shards, tests, configs)
+        assert len(together) == n_feds
+        for f, (params, reports) in enumerate(together):
+            [(alone, alone_reports)] = run_training([shards[f]], [tests[f]],
+                                                    [configs[f]])
+            assert np.array_equal(params.as_vector(), alone.as_vector())
+            assert np.array_equal(np.signbit(params.as_vector()),
+                                  np.signbit(alone.as_vector()))
+            assert reports == alone_reports
+
+    @pytest.mark.parametrize("change", [
+        {"local_epochs": 3}, {"participation": 0.5},
+        {"aggregation_mode": FEDSGD},
+        {"hyperparams": MlpHyperparams(hidden_sizes=(3,), learning_rate=0.1)}])
+    def test_configs_differing_beyond_seed_rejected(self, change):
+        shards, _ = make_shards(100, 2)
+        first = FedConfig(k_clients=2, rounds=1,
+                          hyperparams=MlpHyperparams(hidden_sizes=(3,)), seed=0)
+        second = dataclasses.replace(first, seed=1, **change)
+        with pytest.raises(DomainError, match="but seed"):
+            run_training([shards, shards], [None, None], [first, second])
+
+    def test_configs_differing_in_seed_only_accepted(self):
+        shards, _ = make_shards(100, 2)
+        first = FedConfig(k_clients=2, rounds=1,
+                          hyperparams=MlpHyperparams(hidden_sizes=(3,)), seed=0)
+        fits = run_training([shards, shards], [None, None],
+                            [first, dataclasses.replace(first, seed=1)])
+        assert not np.array_equal(fits[0][0].as_vector(), fits[1][0].as_vector())
 
 
 class TestPrivacyBoundary:

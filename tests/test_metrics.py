@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,24 @@ class TestScalarMetrics:
             assert 0.0 <= metrics.precision(cm).value <= 1.0
             assert 0.0 <= metrics.recall(cm).value <= 1.0
             assert 0.0 <= metrics.f1(cm).value <= 1.0
+
+
+class TestSummarize:
+    def test_degenerate_metrics_warn_by_name(self):
+        # Nothing predicted positive: precision is 0/0, F1 is 0/0.
+        with pytest.warns(UserWarning) as record:
+            out = metrics.summarize([0.1, 0.2, 0.3, 0.4], [1, 0, 1, 0])
+        named = sorted(str(w.message).split()[0] for w in record)
+        assert named == ["f1", "precision"]
+        assert out["precision"] == out["f1"] == 0.0
+        assert out["recall"] == 0.0
+
+    def test_well_defined_metrics_do_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = metrics.summarize([0.9, 0.2, 0.6, 0.4], [1, 0, 1, 0])
+        assert list(out) == ["auc", "accuracy", "precision", "recall", "f1"]
+        assert out["precision"] == out["recall"] == out["f1"] == 1.0
 
 
 class TestReportedRowConsistency:

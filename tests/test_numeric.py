@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,16 @@ class TestRng:
         parent.split("x")
         a = parent.uniform(0, 1, 5)
         assert np.array_equal(a, Rng(7).uniform(0, 1, 5))
+
+    def test_split_chain_draws_the_eager_generator_stream(self):
+        # Labels map to the spawn key: ints masked to 32 bits, str by CRC-32.
+        chain = Rng(11).split("client", 3).split("round", 2**40 + 5).split("epoch", 0)
+        path = (zlib.crc32(b"client"), 3, zlib.crc32(b"round"), 5,
+                zlib.crc32(b"epoch"), 0)
+        eager = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(11, spawn_key=path)))
+        assert np.array_equal(chain.permutation(50), eager.permutation(50))
+        assert np.array_equal(chain.uniform(-1.0, 1.0, 7), eager.uniform(-1.0, 1.0, 7))
 
     def test_empty_permutation(self):
         assert Rng(0).permutation(0).size == 0
