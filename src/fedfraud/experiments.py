@@ -247,6 +247,15 @@ def _mlp_proba(params: models.MlpParams):
     return proba
 
 
+def _check_not_diverged(name: str, scores: np.ndarray) -> None:
+    """Refuse a gradient-trained model whose test scores are all equal: its
+    fit diverged, and its metrics would read as a plain bad model. A tree
+    may be a single leaf, so dt is not checked."""
+    if name in ("lr", "mlp_central", "mlp_fed") and np.ptp(scores) == 0:
+        raise DomainError(f"{name}: every test score is {float(scores[0])!r}; the fit "
+                          "diverged (try a smaller learning_rate)")
+
+
 # --- report writing ---------------------------------------------------------
 
 def _fmt(v):
@@ -311,9 +320,10 @@ def run_benchmark(cfg: ExperimentConfig) -> list[dict]:
     fed_reports = []
     for name in BENCHMARK_MODELS:
         [(proba, reports)] = train_model(name, [(train, cfg, rng)])
+        scores = proba(test.features)
+        _check_not_diverged(name, scores)
         row = {"model": name}
-        row.update(metrics.summarize(proba(test.features), test.labels,
-                                     cfg.threshold))
+        row.update(metrics.summarize(scores, test.labels, cfg.threshold))
         rows.append(row)
         if name == "mlp_fed":
             fed_reports = reports
@@ -337,8 +347,9 @@ def run_fed_vs_central(cfg: ExperimentConfig) -> dict:
     train, test = prepare_splits(source, cfg, rng)
 
     [(central_proba, _)] = train_model("mlp_central", [(train, cfg, rng)])
-    central = metrics.summarize(central_proba(test.features), test.labels,
-                                cfg.threshold)
+    central_scores = central_proba(test.features)
+    _check_not_diverged("mlp_central", central_scores)
+    central = metrics.summarize(central_scores, test.labels, cfg.threshold)
 
     shards = datamod.partition(train, cfg.k_clients, cfg.partition_scheme,
                                rng.split("partition"),
@@ -346,6 +357,7 @@ def run_fed_vs_central(cfg: ExperimentConfig) -> dict:
                                fraud_concentration=cfg.fraud_concentration)
     [(params, reports)] = federated.run_training([shards], [test], [cfg.fed_config()])
     fed_proba, _ = models.mlp_forward(params, test.features)
+    _check_not_diverged("mlp_fed", fed_proba)
     fed = metrics.summarize(fed_proba, test.labels, cfg.threshold)
 
     result = {

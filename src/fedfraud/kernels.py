@@ -18,38 +18,41 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 # --- decision-tree split search ---------------------------------------------
-# Features are scanned in index order; candidate thresholds are the midpoints
-# between consecutive distinct sorted values. Within a feature the split is
-# the first (lowest) threshold whose weighted Gini is within 1e-12 of that
-# feature's minimum; a later feature replaces the incumbent only if it beats
-# it by more than 1e-12. Ties therefore go to the lowest feature index, then
-# the lowest threshold.
+# A node is scanned over its rows presorted per feature (order[f], stable in
+# row id). Features are scanned in index order; candidate thresholds are the
+# midpoints between consecutive distinct sorted values. Within a feature the
+# split is the first (lowest) threshold whose weighted Gini is within 1e-12
+# of that feature's minimum; a later feature replaces the incumbent only if
+# it beats it by more than 1e-12. Ties therefore go to the lowest feature
+# index, then the lowest threshold.
 
 _GINI_EPS = 1e-12
 
 
-def best_split(X: np.ndarray, y: np.ndarray, min_leaf: int):
-    """Best (feature, threshold, weighted_gini) for a binary CART split.
+def best_split(XT: np.ndarray, y: np.ndarray, order: np.ndarray, min_leaf: int):
+    """Best (feature, threshold, weighted_gini) for a binary CART split of a
+    node of m rows.
 
-    Returns feature == -1 when no admissible split exists.
+    XT is the (d, n) feature-major matrix of all rows and y their labels.
+    order is the node's (d, m) array of row ids, order[f] sorted stably by
+    XT[f], as a stable argsort of the node's rows taken in row-id order would
+    give. Returns feature == -1 when no admissible split exists.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    n, d = X.shape
+    d, m = order.shape
     best_f, best_t, best_g = -1, 0.0, np.inf
     for f in range(d):
-        order = np.argsort(X[:, f], kind="stable")
-        xs = X[order, f]
-        ys = y[order]
+        rows = order[f]
+        xs = XT[f].take(rows)
+        ys = y.take(rows)
         pos_left = np.cumsum(ys)[:-1]
-        n_left = np.arange(1, n)
-        valid = (xs[1:] > xs[:-1]) & (n_left >= min_leaf) & ((n - n_left) >= min_leaf)
+        n_left = np.arange(1, m)
+        valid = (xs[1:] > xs[:-1]) & (n_left >= min_leaf) & ((m - n_left) >= min_leaf)
         if not valid.any():
             continue
-        n_right = n - n_left
+        n_right = m - n_left
         p_l = pos_left / n_left
         p_r = (ys.sum() - pos_left) / n_right
-        g = (n_left * 2.0 * p_l * (1.0 - p_l) + n_right * 2.0 * p_r * (1.0 - p_r)) / n
+        g = (n_left * 2.0 * p_l * (1.0 - p_l) + n_right * 2.0 * p_r * (1.0 - p_r)) / m
         g = np.where(valid, g, np.inf)
         i = int(np.argmax(g <= g.min() + _GINI_EPS))
         if g[i] < best_g - _GINI_EPS:

@@ -288,21 +288,14 @@ class LogisticRegression(MlpClassifier):
 
 # --- decision tree ----------------------------------------------------------
 
-@dataclass
-class TreeNode:
-    feature: int = -1
-    threshold: float = 0.0
-    proba: float = 0.0  # fraud fraction at this node; used when it is a leaf
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-
 class DecisionTree:
-    """Binary CART tree with Gini impurity splits and midpoint thresholds."""
+    """Binary CART tree with Gini impurity splits and midpoint thresholds.
+
+    A fitted tree is five flat node arrays; node 0 is the root. Node i
+    sends a row to left[i] if row[feature[i]] <= threshold[i], else to
+    right[i]. A leaf has feature, left and right -1; proba[i] is the fraud
+    fraction of the training rows that reached node i.
+    """
 
     def __init__(self, max_depth: int | None = None, min_samples_leaf: int = 1):
         if max_depth is not None and max_depth < 0:
@@ -311,48 +304,71 @@ class DecisionTree:
             raise DomainError(f"min_samples_leaf must be >= 1, got {min_samples_leaf}")
         self.max_depth = max_depth
         self.min_samples_leaf = int(min_samples_leaf)
-        self.root: TreeNode | None = None
+        self.n_features: int | None = None
+        self.feature = self.threshold = self.left = self.right = self.proba = None
 
     def fit(self, train: Dataset, rng: Rng | None = None) -> "DecisionTree":
+        """Grow the tree depth first from an explicit stack. Each feature is
+        argsorted once, stably, at the root; a split partitions its node's
+        (d, m) sorted row ids stably into the children's, which keeps each
+        child's rows sorted as a stable argsort of them would. The pending
+        nodes' rows are disjoint, so their arrays hold at most (d, n) ids."""
         if train.n_samples == 0:
             raise DomainError("cannot fit a tree on an empty dataset")
-        X = np.ascontiguousarray(train.features, dtype=np.float64)
+        XT = np.ascontiguousarray(train.features.T, dtype=np.float64)
         y = train.labels.astype(np.float64)
-        self.root = self._build(X, y, depth=0)
+        goes_left = np.zeros(train.n_samples, dtype=bool)  # read at node rows only
+        leaf = (-1, 0.0, -1, -1, 0.0)  # feature, threshold, left, right, proba
+        nodes = [list(leaf)]
+        stack = [(0, np.argsort(XT, axis=1, kind="stable"), 0)]
+        while stack:
+            node, order, depth = stack.pop()
+            rows = order[0]
+            proba = nodes[node][4] = float(y[rows].mean())
+            if (proba in (0.0, 1.0)
+                    or (self.max_depth is not None and depth >= self.max_depth)
+                    or rows.size < 2 * self.min_samples_leaf):
+                continue
+            f, t, _ = kernels.best_split(XT, y, order, self.min_samples_leaf)
+            if f < 0:
+                continue
+            goes_left[rows] = XT[f, rows] <= t
+            sel = goes_left[order]
+            n_left = int(sel[0].sum())
+            if n_left in (0, rows.size):
+                continue
+            nodes[node][:4] = f, t, len(nodes), len(nodes) + 1
+            nodes += [list(leaf), list(leaf)]
+            d = len(order)
+            lo, hi = order[sel].reshape(d, n_left), order[~sel].reshape(d, -1)
+            del order, rows, sel
+            stack += [(len(nodes) - 1, hi, depth + 1), (len(nodes) - 2, lo, depth + 1)]
+        self.n_features = XT.shape[0]
+        feature, threshold, left, right, proba = zip(*nodes)
+        self.feature, self.left, self.right = (np.array(a, dtype=np.intp)
+                                               for a in (feature, left, right))
+        self.threshold, self.proba = np.array(threshold), np.array(proba)
         return self
 
-    def _build(self, X, y, depth) -> TreeNode:
-        node = TreeNode(proba=float(y.mean()))
-        if node.proba in (0.0, 1.0):
-            return node
-        if self.max_depth is not None and depth >= self.max_depth:
-            return node
-        if y.size < 2 * self.min_samples_leaf:
-            return node
-        f, t, _ = kernels.best_split(X, y, self.min_samples_leaf)
-        if f < 0:
-            return node
-        mask = X[:, f] <= t
-        if not mask.any() or mask.all():
-            return node
-        node.feature, node.threshold = f, t
-        node.left = self._build(X[mask], y[mask], depth + 1)
-        node.right = self._build(X[~mask], y[~mask], depth + 1)
-        return node
-
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        if self.root is None:
+        """Walk all rows down together, one vectorized step per depth."""
+        if self.proba is None:
             raise DomainError("model is not fitted")
         X = np.asarray(features, dtype=np.float64)
         if X.ndim == 1:
             X = X.reshape(1, -1)
-        out = np.empty(X.shape[0])
-        for i, row in enumerate(X):
-            node = self.root
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            out[i] = node.proba
-        return out
+        if X.shape[1] != self.n_features:
+            raise ShapeError(f"input has {X.shape[1]} features, model expects "
+                             f"{self.n_features}")
+        node = np.zeros(X.shape[0], dtype=np.intp)
+        rows = np.arange(X.shape[0])
+        while rows.size:
+            at = node[rows]
+            inner = self.feature[at] >= 0
+            rows, at = rows[inner], at[inner]
+            go_left = X[rows, self.feature[at]] <= self.threshold[at]
+            node[rows] = np.where(go_left, self.left[at], self.right[at])
+        return self.proba[node]
 
     def predict(self, features: np.ndarray, threshold: float = 0.5) -> np.ndarray:
         return (self.predict_proba(features) >= threshold).astype(np.intp)

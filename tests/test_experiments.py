@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from fedfraud import cli, experiments, metrics
-from fedfraud.errors import ConfigError
+from fedfraud.errors import ConfigError, DomainError
 from fedfraud.experiments import ExperimentConfig, load_config, parse_ratio
 from fedfraud.numeric import Rng
 
@@ -159,6 +159,16 @@ class TestSweep:
             assert auc == row["auc"]
 
 
+class TestDivergedFit:
+    def test_constant_scores_refused_for_gradient_trained_models(self):
+        for name in ("lr", "mlp_central", "mlp_fed"):
+            with pytest.raises(DomainError, match=f"{name}: every test score is 0.3;"):
+                experiments._check_not_diverged(name, np.full(4, 0.3))
+            experiments._check_not_diverged(name, np.array([0.3, 0.3, 0.4]))
+        # A tree may legitimately be one leaf.
+        experiments._check_not_diverged("dt", np.full(4, 0.3))
+
+
 class TestTracedNames:
     def test_every_perfbench_patch_target_exists(self):
         # perfbench/traced.py patches functions by name; a renamed one would
@@ -232,6 +242,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and re.search(message, err)
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["benchmark", "fed-vs-central"])
+    def test_diverged_fit_exit_three_before_report(self, tmp_path, capsys, command):
+        # At this learning rate the central MLP's test scores are all equal.
+        path = tmp_path / "diverge.json"
+        path.write_text(json.dumps(dict(
+            learning_rate=50, synthetic_n=2000, synthetic_features=5, epochs=4,
+            rounds=3, local_epochs=1, k_clients=3, hidden_sizes=[6])))
+        out = tmp_path / "o"
+        rc = cli.main([command, "--seed", "1", "--config", str(path), "--out", str(out)])
+        assert rc == 3
+        assert re.search("mlp_central: every test score is .* diverged",
+                         capsys.readouterr().err)
+        assert not (out / "report.csv").exists()
 
     def test_gen_synthetic_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

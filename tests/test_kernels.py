@@ -37,27 +37,44 @@ class TestSigmoid:
         assert np.array_equal(out, flat.reshape(z.shape))
 
 
+def split_root(X, y, min_leaf):
+    """best_split over all rows of X, presorted as DecisionTree.fit does."""
+    XT = np.ascontiguousarray(X.T)
+    return kernels.best_split(XT, y, np.argsort(XT, axis=1, kind="stable"), min_leaf)
+
+
 class TestBestSplit:
     def test_best_split_respects_min_leaf(self):
         X = np.arange(10, dtype=np.float64).reshape(10, 1)
         y = np.array([0, 0, 0, 0, 0, 1, 1, 1, 1, 1], dtype=np.float64)
-        f, t, g = kernels.best_split(X, y, 4)
+        f, t, g = split_root(X, y, 4)
         assert f == 0
         assert 2.5 <= t <= 6.5
 
     def test_no_admissible_split(self):
         X = np.ones((4, 2))
         y = np.array([0.0, 1.0, 0.0, 1.0])
-        f, _, _ = kernels.best_split(X, y, 1)
+        f, _, _ = split_root(X, y, 1)
         assert f == -1
 
     def test_exact_ties_pick_lowest_feature_then_lowest_threshold(self):
         # Two identical columns: the first one wins.
         X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
         y = np.array([0.0, 0.0, 1.0, 1.0])
-        assert kernels.best_split(X, y, 1) == (0, 1.5, 0.0)
+        assert split_root(X, y, 1) == (0, 1.5, 0.0)
         # Thresholds 0.5 and 2.5 give the same Gini: the lower one wins.
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([1.0, 0.0, 0.0, 1.0])
-        f, t, _ = kernels.best_split(X, y, 1)
+        f, t, _ = split_root(X, y, 1)
         assert (f, t) == (0, 0.5)
+
+    def test_node_split_equals_split_of_its_rows_alone(self):
+        # A node's presorted ids come from stably partitioning the root's.
+        rng = np.random.default_rng(3)
+        X = np.round(rng.normal(size=(60, 3)), 1)
+        y = (rng.uniform(size=60) < 0.4).astype(np.float64)
+        keep = rng.uniform(size=60) < 0.5
+        XT = np.ascontiguousarray(X.T)
+        root = np.argsort(XT, axis=1, kind="stable")
+        node = root[keep[root]].reshape(3, -1)
+        assert kernels.best_split(XT, y, node, 2) == split_root(X[keep], y[keep], 2)

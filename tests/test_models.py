@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedfraud import models
 from fedfraud.data import Dataset, DatasetStack
@@ -373,12 +376,78 @@ def enumerate_best_split(X, y, min_leaf=1):
     return best
 
 
+def oracle_best_split(X, y, min_leaf):
+    """The per-node split search that presorting replaced: a stable argsort
+    of each feature over the node's own rows."""
+    n, d = X.shape
+    best_f, best_t, best_g = -1, 0.0, np.inf
+    for f in range(d):
+        order = np.argsort(X[:, f], kind="stable")
+        xs = X[order, f]
+        ys = y[order]
+        pos_left = np.cumsum(ys)[:-1]
+        n_left = np.arange(1, n)
+        valid = (xs[1:] > xs[:-1]) & (n_left >= min_leaf) & ((n - n_left) >= min_leaf)
+        if not valid.any():
+            continue
+        n_right = n - n_left
+        p_l = pos_left / n_left
+        p_r = (ys.sum() - pos_left) / n_right
+        g = (n_left * 2.0 * p_l * (1.0 - p_l) + n_right * 2.0 * p_r * (1.0 - p_r)) / n
+        g = np.where(valid, g, np.inf)
+        i = int(np.argmax(g <= g.min() + 1e-12))
+        if g[i] < best_g - 1e-12:
+            best_f, best_t, best_g = f, 0.5 * (xs[i] + xs[i + 1]), g[i]
+    return int(best_f), float(best_t), float(best_g)
+
+
+def oracle_tree(X, y, max_depth, min_leaf, depth=0):
+    """The recursive builder that DecisionTree.fit replaced: each node
+    row-copies X and searches with oracle_best_split. A node is
+    (feature, threshold, proba, left, right); a leaf has feature -1 and
+    children None."""
+    proba = float(y.mean())
+    leaf = (-1, 0.0, proba, None, None)
+    if (proba in (0.0, 1.0) or (max_depth is not None and depth >= max_depth)
+            or y.size < 2 * min_leaf):
+        return leaf
+    f, t, _ = oracle_best_split(X, y, min_leaf)
+    if f < 0:
+        return leaf
+    mask = X[:, f] <= t
+    if not mask.any() or mask.all():
+        return leaf
+    return (f, t, proba, oracle_tree(X[mask], y[mask], max_depth, min_leaf, depth + 1),
+            oracle_tree(X[~mask], y[~mask], max_depth, min_leaf, depth + 1))
+
+
+def assert_same_nodes(tree, i, node):
+    """Node i of the flat tree and its subtree equal the oracle node and its
+    subtree; returns the number of nodes compared."""
+    f, t, proba, left, right = node
+    assert tree.feature[i] == f
+    assert tree.proba[i] == proba
+    if left is None:
+        assert tree.left[i] == tree.right[i] == -1
+        return 1
+    assert np.float64(tree.threshold[i]).view(np.int64) == np.float64(t).view(np.int64)
+    return (1 + assert_same_nodes(tree, tree.left[i], left)
+            + assert_same_nodes(tree, tree.right[i], right))
+
+
+def oracle_walk(node, row):
+    """Per-row descent of an oracle tree; returns the leaf's proba."""
+    while node[3] is not None:
+        node = node[3] if row[node[0]] <= node[1] else node[4]
+    return node[2]
+
+
 class TestDecisionTree:
     def test_pure_node_is_leaf(self):
         ds = Dataset(np.array([[0.0], [1.0], [2.0]]), np.ones(3, dtype=np.intp))
         tree = models.DecisionTree().fit(ds)
-        assert tree.root.is_leaf
-        assert tree.root.proba == 1.0
+        assert tree.left[0] == -1
+        assert tree.proba[0] == 1.0
 
     def test_fifty_fifty_gini(self):
         y = np.array([0.0, 1.0])
@@ -389,7 +458,7 @@ class TestDecisionTree:
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0, 0, 1, 1])
         tree = models.DecisionTree().fit(Dataset(X, y))
-        assert 1.0 < tree.root.threshold < 2.0
+        assert 1.0 < tree.threshold[0] < 2.0
         assert np.array_equal(tree.predict(X), y)
 
     def test_matches_enumeration_oracle(self):
@@ -402,10 +471,10 @@ class TestDecisionTree:
             oracle = enumerate_best_split(X, y)
             tree = models.DecisionTree(max_depth=1).fit(Dataset(X, y))
             if oracle is None:
-                assert tree.root.is_leaf
+                assert tree.left[0] == -1
                 continue
-            assert tree.root.feature == oracle[0]
-            assert tree.root.threshold == pytest.approx(oracle[1], abs=1e-12)
+            assert tree.feature[0] == oracle[0]
+            assert tree.threshold[0] == pytest.approx(oracle[1], abs=1e-12)
 
     def test_perfect_fit_on_consistent_data(self):
         for seed in range(10):
@@ -418,8 +487,52 @@ class TestDecisionTree:
     def test_constant_features_become_leaf(self):
         ds = Dataset(np.ones((6, 2)), np.array([0, 1, 0, 1, 0, 1]))
         tree = models.DecisionTree().fit(ds)
-        assert tree.root.is_leaf
-        assert tree.root.proba == 0.5
+        assert tree.left[0] == -1
+        assert tree.proba[0] == 0.5
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(2, 300), d=st.integers(1, 6), decimals=st.integers(0, 2),
+           fraud=st.floats(0.05, 0.95), seed=st.integers(0, 2**32 - 1),
+           max_depth=st.sampled_from([None, 0, 1, 3, 8]), min_leaf=st.integers(1, 5))
+    def test_matches_per_node_argsort_builder(self, n, d, decimals, fraud, seed,
+                                              max_depth, min_leaf):
+        # Values rounded to 0-2 decimals repeat often, so ties in the sort
+        # order, in the Gini and between features are common.
+        rng = np.random.default_rng(seed)
+        X = np.round(rng.normal(size=(n, d)), decimals)
+        y = (rng.uniform(size=n) < fraud).astype(np.intp)
+        tree = models.DecisionTree(max_depth, min_leaf).fit(Dataset(X, y))
+        oracle = oracle_tree(X, y.astype(np.float64), max_depth, min_leaf)
+        assert assert_same_nodes(tree, 0, oracle) == tree.proba.size
+        Z = np.vstack([X, np.round(rng.normal(size=(20, d)), decimals + 1)])
+        expected = [oracle_walk(oracle, row) for row in Z]
+        assert np.array_equal(tree.predict_proba(Z), expected)
+
+    def test_fit_peak_memory_is_bounded(self):
+        # Rare, shifted fraud rows, as in the ULB data: most splits peel a
+        # few rows off a large node. The pending nodes' sorted row ids never
+        # exceed one (d, n) array, so the peak stays a small multiple of the
+        # input (about 3.3x; a row copy per level of the path reached 8x).
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(20_000, 30))
+        y = (rng.uniform(size=20_000) < 0.01).astype(np.intp)
+        X[y == 1] += 1.5
+        ds = Dataset(X, y)
+        tracemalloc.start()
+        try:
+            models.DecisionTree(8, 5).fit(ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * X.nbytes
+
+    def test_predict_checks_feature_width(self):
+        X = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 1.0], [3.0, 0.0]])
+        tree = models.DecisionTree().fit(Dataset(X, np.array([0, 0, 1, 1])))
+        for width in (1, 3):
+            with pytest.raises(ShapeError,
+                               match=f"input has {width} features, model expects 2"):
+                tree.predict_proba(np.zeros((2, width)))
 
 
 class TestCheckpoint:
