@@ -15,7 +15,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,6 +92,7 @@ class ExperimentConfig:
                 f"got {self.partition_scheme!r}")
         checks = (
             ("seed", self.seed >= 0, "must be >= 0"),
+            ("k_clients", self.k_clients >= 1, "must be >= 1"),
             ("ratio", all(r >= 1 for r in self.ratio), "parts must be >= 1"),
             ("test_fraction", 0.0 < self.test_fraction < 1.0, "must be in (0, 1)"),
             ("threshold", 0.0 <= self.threshold <= 1.0, "must be in [0, 1]"),
@@ -132,7 +133,6 @@ class ExperimentConfig:
 
     def fed_config(self) -> federated.FedConfig:
         return federated.FedConfig(
-            k_clients=self.k_clients,
             rounds=self.rounds,
             local_epochs=self.local_epochs,
             participation=self.participation,
@@ -205,58 +205,63 @@ def prepare_splits(ds: datamod.Dataset, cfg: ExperimentConfig, rng: Rng):
     return datamod.apply_standardizer(std, train), datamod.apply_standardizer(std, test)
 
 
-def train_model(name: str, cells):
-    """Train one model per cell; `cells` is an iterable of (train, cfg, rng).
-    Returns one (predict_proba callable, round reports or []) per cell.
+def train_model(name: str, cells, score_rounds: bool = False):
+    """Train one model per cell and score its test set; `cells` is an
+    iterable of (train, test, cfg, rng). Returns one (test scores, test
+    labels, round reports or [], final params for mlp_fed else None) per
+    cell.
 
     mlp_fed trains the cells' federations side by side in one
-    federated.run_training call. Each cell is partitioned as soon as it is
-    drawn, so of a cell only its shards stay held.
+    federated.run_training call, scoring each round's global model on the
+    cell's test set if `score_rounds`. Each cell is partitioned as soon as
+    it is drawn, so of a cell only its shards and test set stay held.
     """
     if name == "mlp_fed":
-        shards, configs = [], []
-        for train, cfg, rng in cells:
+        shards, tests, configs = [], [], []
+        for train, test, cfg, rng in cells:
             shards.append(datamod.partition(
                 train, cfg.k_clients, cfg.partition_scheme,
                 rng.split("partition"), dirichlet_alpha=cfg.dirichlet_alpha,
                 fraud_concentration=cfg.fraud_concentration))
+            tests.append(test)
             configs.append(cfg.fed_config())
-        fits = federated.run_training(shards, [None] * len(configs), configs)
-        return [(_mlp_proba(params), reports) for params, reports in fits]
+        fits = federated.run_training(
+            shards, tests if score_rounds else [None] * len(tests), configs)
+        return [(models.mlp_forward(params, test.features)[0], test.labels, reports,
+                 params) for (params, reports), test in zip(fits, tests, strict=True)]
     if name not in ("lr", "dt", "mlp_central"):
         raise ConfigError(f"unknown model {name!r}")
-    return [(_fit_central(name, train, cfg, rng), []) for train, cfg, rng in cells]
+    return [(_fit_central(name, train, cfg, rng).predict_proba(test.features),
+             test.labels, [], None) for train, test, cfg, rng in cells]
 
 
 def _fit_central(name: str, train: datamod.Dataset, cfg: ExperimentConfig, rng: Rng):
     if name == "lr":
-        return models.LogisticRegression(cfg.hyperparams()).fit(
-            train, rng.split("lr")).predict_proba
+        return models.LogisticRegression(cfg.hyperparams()).fit(train, rng.split("lr"))
     if name == "dt":
-        return cfg.decision_tree().fit(train, rng.split("dt")).predict_proba
-    return models.MlpClassifier(cfg.hyperparams()).fit(
-        train, rng.split("mlp")).predict_proba
-
-
-def _mlp_proba(params: models.MlpParams):
-    def proba(features):
-        p, _ = models.mlp_forward(params, features)
-        return p
-
-    proba.params = params
-    return proba
+        return cfg.decision_tree().fit(train, rng.split("dt"))
+    return models.MlpClassifier(cfg.hyperparams()).fit(train, rng.split("mlp"))
 
 
 def _check_not_diverged(name: str, scores: np.ndarray) -> None:
-    """Refuse a gradient-trained model whose test scores are all equal: its
-    fit diverged, and its metrics would read as a plain bad model. A tree
-    may be a single leaf, so dt is not checked."""
+    """Refuse a model whose test scores are not all finite, or a
+    gradient-trained one whose test scores are all equal: its fit diverged,
+    and its metrics would read as a plain bad model (or fail in the ROC
+    with no model named). A tree may be a single leaf, so dt is not checked
+    for equal scores."""
+    bad = int(np.count_nonzero(~np.isfinite(scores)))
+    if bad:
+        raise DomainError(f"{name}: {bad} of {scores.size} test scores are not "
+                          "finite; the fit diverged (try a smaller learning_rate)")
     if name in ("lr", "mlp_central", "mlp_fed") and np.ptp(scores) == 0:
         raise DomainError(f"{name}: every test score is {float(scores[0])!r}; the fit "
                           "diverged (try a smaller learning_rate)")
 
 
 # --- report writing ---------------------------------------------------------
+
+REPORT_COLUMNS = ("model", "auc", "precision", "recall", "f1", "accuracy")
+
 
 def _fmt(v):
     if isinstance(v, float):
@@ -273,10 +278,9 @@ def write_rows_csv(path, header, rows):
 
 
 def write_report_txt(path, rows):
-    cols = ["model", "auc", "precision", "recall", "f1", "accuracy"]
-    lines = [" ".join(f"{c:>12}" for c in cols)]
+    lines = [" ".join(f"{c:>12}" for c in REPORT_COLUMNS)]
     for row in rows:
-        cells = [row["model"]] + [f"{row[c]:.4f}" for c in cols[1:]]
+        cells = [row["model"]] + [f"{row[c]:.4f}" for c in REPORT_COLUMNS[1:]]
         lines.append(" ".join(f"{c:>12}" for c in cells))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -309,71 +313,50 @@ def _write_common(cfg: ExperimentConfig, out: str):
 BENCHMARK_MODELS = ("lr", "dt", "mlp_central", "mlp_fed")
 
 
-def run_benchmark(cfg: ExperimentConfig) -> list[dict]:
-    """Train all benchmark models on one shared split; write report files."""
+def _run_models(cfg: ExperimentConfig, names, score_rounds: bool) -> list[dict]:
+    """Train `names` (mlp_fed among them) on one shared split and write
+    report.csv, report.txt, rounds.csv and model_fed.json. Returns the
+    report rows, one per model in the given order."""
     source = load_source(cfg)
     _write_common(cfg, cfg.out)
     rng = Rng(cfg.seed)
     train, test = prepare_splits(source, cfg, rng)
 
     rows = []
-    fed_reports = []
-    for name in BENCHMARK_MODELS:
-        [(proba, reports)] = train_model(name, [(train, cfg, rng)])
-        scores = proba(test.features)
+    for name in names:
+        [(scores, _, reports, params)] = train_model(name, [(train, test, cfg, rng)],
+                                                     score_rounds)
         _check_not_diverged(name, scores)
-        row = {"model": name}
-        row.update(metrics.summarize(scores, test.labels, cfg.threshold))
-        rows.append(row)
+        rows.append({"model": name,
+                     **metrics.summarize(scores, test.labels, cfg.threshold)})
         if name == "mlp_fed":
-            fed_reports = reports
-            models.save_checkpoint(proba.params,
-                                   os.path.join(cfg.out, "model_fed.json"))
+            fed_reports, fed_params = reports, params
 
-    header = ["model", "auc", "precision", "recall", "f1", "accuracy"]
-    write_rows_csv(os.path.join(cfg.out, "report.csv"), header,
-                   [[r[c] for c in header] for r in rows])
+    write_rows_csv(os.path.join(cfg.out, "report.csv"), REPORT_COLUMNS,
+                   [[r[c] for c in REPORT_COLUMNS] for r in rows])
     write_report_txt(os.path.join(cfg.out, "report.txt"), rows)
     write_rounds_csv(os.path.join(cfg.out, "rounds.csv"), fed_reports)
+    models.save_checkpoint(fed_params, os.path.join(cfg.out, "model_fed.json"))
     return rows
+
+
+def run_benchmark(cfg: ExperimentConfig) -> list[dict]:
+    """Train all benchmark models on one shared split; write report files."""
+    return _run_models(cfg, BENCHMARK_MODELS, score_rounds=False)
 
 
 def run_fed_vs_central(cfg: ExperimentConfig) -> dict:
     """Same MLP trained centrally and federatedly; report the AUC delta and
-    the per-round convergence series."""
-    source = load_source(cfg)
-    _write_common(cfg, cfg.out)
-    rng = Rng(cfg.seed)
-    train, test = prepare_splits(source, cfg, rng)
-
-    [(central_proba, _)] = train_model("mlp_central", [(train, cfg, rng)])
-    central_scores = central_proba(test.features)
-    _check_not_diverged("mlp_central", central_scores)
-    central = metrics.summarize(central_scores, test.labels, cfg.threshold)
-
-    shards = datamod.partition(train, cfg.k_clients, cfg.partition_scheme,
-                               rng.split("partition"),
-                               dirichlet_alpha=cfg.dirichlet_alpha,
-                               fraud_concentration=cfg.fraud_concentration)
-    [(params, reports)] = federated.run_training([shards], [test], [cfg.fed_config()])
-    fed_proba, _ = models.mlp_forward(params, test.features)
-    _check_not_diverged("mlp_fed", fed_proba)
-    fed = metrics.summarize(fed_proba, test.labels, cfg.threshold)
-
-    result = {
+    the per-round convergence series (rounds.csv scores every round)."""
+    central, fed = ({k: v for k, v in row.items() if k != "model"}
+                    for row in _run_models(cfg, ("mlp_central", "mlp_fed"),
+                                           score_rounds=True))
+    return {
         "central": central,
         "federated": fed,
         "auc_delta": abs(fed["auc"] - central["auc"]),
         "partition_scheme": cfg.partition_scheme,
     }
-    rows = [dict(model="mlp_central", **central), dict(model="mlp_fed", **fed)]
-    header = ["model", "auc", "precision", "recall", "f1", "accuracy"]
-    write_rows_csv(os.path.join(cfg.out, "report.csv"), header,
-                   [[r[c] for c in header] for r in rows])
-    write_report_txt(os.path.join(cfg.out, "report.txt"), rows)
-    write_rounds_csv(os.path.join(cfg.out, "rounds.csv"), reports)
-    models.save_checkpoint(params, os.path.join(cfg.out, "model_fed.json"))
-    return result
 
 
 def _stratified_subsample(ds: datamod.Dataset, n: int, rng: Rng) -> datamod.Dataset:
@@ -388,9 +371,9 @@ def _stratified_subsample(ds: datamod.Dataset, n: int, rng: Rng) -> datamod.Data
 
 
 def _sweep_cells(source: datamod.Dataset, cfg: ExperimentConfig,
-                 sample_count: int, ratio_name: str, tests: list):
-    """The sweep_repeats cells (train, cfg, rng) of one grid point, each
-    drawn when the consumer asks for it; the test sets go to `tests`."""
+                 sample_count: int, ratio_name: str):
+    """The sweep_repeats cells (train, test, cfg, rng) of one grid point,
+    each drawn when the consumer asks for it."""
     ratio = parse_ratio(ratio_name)
     for rep in range(cfg.sweep_repeats):
         seed = cfg.seed + rep
@@ -398,8 +381,7 @@ def _sweep_cells(source: datamod.Dataset, cfg: ExperimentConfig,
         rng = Rng(seed).split("sweep", sample_count, ratio_name)
         train, test = prepare_splits(_stratified_subsample(source, sample_count, rng),
                                      cell_cfg, rng)
-        tests.append(test)
-        yield train, cell_cfg, rng
+        yield train, test, cell_cfg, rng
 
 
 def run_sweep(cfg: ExperimentConfig) -> list[dict]:
@@ -419,11 +401,10 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict]:
             )
             continue
         for ratio_name in cfg.sweep_ratios:
-            tests = []
             fits = train_model(cfg.sweep_model, _sweep_cells(
-                source, cfg, sample_count, ratio_name, tests))
-            for rep, ((proba, _), test) in enumerate(zip(fits, tests, strict=True)):
-                _, auc = metrics.roc_auc(proba(test.features), test.labels)
+                source, cfg, sample_count, ratio_name))
+            for rep, (scores, labels, _, _) in enumerate(fits):
+                _, auc = metrics.roc_auc(scores, labels)
                 rows.append({"sample_count": sample_count, "ratio": ratio_name,
                              "seed": cfg.seed + rep, "auc": auc})
 

@@ -41,7 +41,6 @@ FEDSGD = "fedsgd_gradients"
 
 @dataclass
 class FedConfig:
-    k_clients: int = 5
     rounds: int = 10
     local_epochs: int = 2
     participation: float = 1.0
@@ -50,8 +49,8 @@ class FedConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.rounds < 0 or self.local_epochs < 1 or self.k_clients < 1:
-            raise DomainError("rounds >= 0, local_epochs >= 1, k_clients >= 1 required")
+        if self.rounds < 0 or self.local_epochs < 1:
+            raise DomainError("rounds >= 0 and local_epochs >= 1 required")
         if not 0.0 < self.participation <= 1.0:
             raise DomainError(f"participation must be in (0,1], got {self.participation}")
         if self.aggregation_mode not in (FEDAVG, FEDSGD):

@@ -18,12 +18,12 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 # --- decision-tree split search ---------------------------------------------
-# A node is scanned over its rows presorted per feature (order[f], stable in
-# row id). Features are scanned in index order; candidate thresholds are the
-# midpoints between consecutive distinct sorted values. Within a feature the
-# split is the first (lowest) threshold whose weighted Gini is within 1e-12
-# of that feature's minimum; a later feature replaces the incumbent only if
-# it beats it by more than 1e-12. Ties therefore go to the lowest feature
+# A node is scanned over its rows presorted per feature (order[f]). Features
+# are scanned in index order; candidate thresholds are the midpoints between
+# consecutive distinct sorted values. Within a feature the split is the
+# first (lowest) threshold whose weighted Gini is within 1e-12 of that
+# feature's minimum; a later feature replaces the incumbent only if it
+# beats it by more than 1e-12. Ties therefore go to the lowest feature
 # index, then the lowest threshold.
 
 _GINI_EPS = 1e-12
@@ -33,10 +33,11 @@ def best_split(XT: np.ndarray, y: np.ndarray, order: np.ndarray, min_leaf: int):
     """Best (feature, threshold, weighted_gini) for a binary CART split of a
     node of m rows.
 
-    XT is the (d, n) feature-major matrix of all rows and y their labels.
-    order is the node's (d, m) array of row ids, order[f] sorted stably by
-    XT[f], as a stable argsort of the node's rows taken in row-id order would
-    give. Returns feature == -1 when no admissible split exists.
+    XT is the (d, n) feature-major matrix of all rows and y their 0/1
+    labels. order is the node's (d, m) array of row ids, order[f] sorted by
+    XT[f]; rows with equal values may come in any order, since the prefix
+    counts are only read where the value changes. Returns feature == -1
+    when no admissible split exists.
     """
     d, m = order.shape
     best_f, best_t, best_g = -1, 0.0, np.inf

@@ -6,7 +6,9 @@ probabilities in (0,1) and predict(x, threshold) is 1 iff proba >= threshold.
 
 The MLP has one forward body (_forward) and one backward body (_backward).
 Prediction and the FedSGD gradient (mlp_forward, mlp_backward) and every
-SGD step, on one model or a K-stack (sgd_step), go through them.
+SGD step (sgd_step, on a K-stack) go through them, and one epoch loop
+(sgd_epoch) trains both a central model, as a stack of one, and a round's
+FedAvg clients.
 """
 
 from __future__ import annotations
@@ -173,9 +175,9 @@ def mlp_backward(params: MlpParams, caches, labels: np.ndarray) -> np.ndarray:
 
 
 def sgd_step(weights, biases, x, y, lr) -> None:
-    """One in-place mini-batch SGD step on one model or on a stack of K:
-    _forward and _backward on x and y (y is (b,) or (K, b)), then
-    `-= lr * grad` on each weights[i] and biases[i]."""
+    """One in-place mini-batch SGD step on a stack of K models: _forward and
+    _backward on x (K, b, d) and y (K, b), then `-= lr * grad` on each
+    weights[i] and biases[i]."""
     activations, pre_acts = _forward(weights, biases, x)
     grads_w, grads_b = _backward(weights, activations, pre_acts, y)
     for param, grad in zip((*weights, *biases), (*grads_w, *grads_b)):
@@ -186,43 +188,36 @@ def sgd_step(weights, biases, x, y, lr) -> None:
 def sgd_epoch(params: MlpParams, ds: Dataset | DatasetStack, hp: MlpHyperparams,
               rng) -> None:
     """One epoch of mini-batch SGD (sgd_step) over a random permutation of
-    `ds`. Works in place on params.weights / params.biases and returns
-    nothing; `ds` is only read.
+    each member of a DatasetStack. Works in place on params.weights /
+    params.biases and returns nothing; `ds` is only read.
 
-    For a DatasetStack of K members, params holds K-stacked weights and
-    biases (as sgd_step takes them) and `rng` is a sequence of K Rngs. Entry
-    k trains on member k in the order of rng[k].permutation, as a one-model
-    epoch would, and all entries train in lockstep: at each batch position
-    one stacked sgd_step serves every member with the same batch size.
+    For a stack of K members, params holds K-stacked weights and biases (as
+    sgd_step takes them) and `rng` is a sequence of K Rngs. Entry k trains
+    on member k in the order of rng[k].permutation, and all entries train in
+    lockstep: at each batch position one stacked sgd_step serves every
+    member with the same batch size. A single Dataset with one model's
+    params and one Rng is the one-member case: it trains on [None] views of
+    the params' arrays, so the updates land in them.
     """
-    members = ds.members if isinstance(ds, DatasetStack) else (ds,)
+    if isinstance(ds, Dataset):
+        ds, rng = DatasetStack((ds,)), [rng]
+        params = MlpParams(params.layer_sizes, [w[None] for w in params.weights],
+                           [b[None] for b in params.biases])
+    members = ds.members
     for member in members:
         if member.n_samples == 0:
             raise DomainError("cannot train on an empty shard")
         if member.n_features != params.layer_sizes[0]:
             raise ShapeError(f"input has {member.n_features} features, model "
                              f"expects {params.layer_sizes[0]}")
-    if isinstance(ds, DatasetStack):
-        _lockstep_epoch(params, members, hp, rng)
-        return
-    features = np.asarray(ds.features, dtype=np.float64)
-    labels = np.asarray(ds.labels, dtype=np.float64)
-    order = rng.permutation(ds.n_samples)
-    for start in range(0, ds.n_samples, hp.batch_size):
-        idx = order[start:start + hp.batch_size]
-        sgd_step(params.weights, params.biases, features[idx], labels[idx],
-                 hp.learning_rate)
-
-
-def _lockstep_epoch(params: MlpParams, members, hp: MlpHyperparams, rngs) -> None:
-    if len(rngs) != len(members) or params.weights[0].shape[0] != len(members):
+    if len(rng) != len(members) or params.weights[0].shape[0] != len(members):
         raise ShapeError(f"{len(members)} stack members need as many rngs and "
-                         f"stacked models, got {len(rngs)} and "
+                         f"stacked models, got {len(rng)} and "
                          f"{params.weights[0].shape[0]}")
     features = [np.asarray(m.features, dtype=np.float64) for m in members]
     labels = [m.labels for m in members]
     sizes = [m.n_samples for m in members]
-    orders = [rng.permutation(n) for rng, n in zip(rngs, sizes)]
+    orders = [r.permutation(n) for r, n in zip(rng, sizes)]
     # Each step reads its batches as views of x_block / y_block. Every
     # GATHER_BLOCK batch positions, each member with rows left copies its
     # next GATHER_BLOCK batches of rows, in permutation order, into its entry.
@@ -245,8 +240,12 @@ def _lockstep_epoch(params: MlpParams, members, hp: MlpHyperparams, rngs) -> Non
         lo = 0
         for size, same in itertools.groupby(batch_sizes):
             hi = lo + len(list(same))
-            sgd_step([w[lo:hi] for w in params.weights],
-                     [b[lo:hi] for b in params.biases],
+            # A group that is the whole stack (always, for one member) steps
+            # on the params themselves: slicing every layer per step costs
+            # a few percent of a central MLP fit.
+            whole = hi - lo == len(members)
+            sgd_step(params.weights if whole else [w[lo:hi] for w in params.weights],
+                     params.biases if whole else [b[lo:hi] for b in params.biases],
                      x_block[lo:hi, offset:offset + size],
                      y_block[lo:hi, offset:offset + size], hp.learning_rate)
             lo = hi
@@ -309,10 +308,17 @@ class DecisionTree:
 
     def fit(self, train: Dataset, rng: Rng | None = None) -> "DecisionTree":
         """Grow the tree depth first from an explicit stack. Each feature is
-        argsorted once, stably, at the root; a split partitions its node's
-        (d, m) sorted row ids stably into the children's, which keeps each
-        child's rows sorted as a stable argsort of them would. The pending
-        nodes' rows are disjoint, so their arrays hold at most (d, n) ids."""
+        argsorted once at the root; a split partitions its node's (d, m)
+        sorted row ids stably into the children's, which keeps each child's
+        rows sorted by value. The pending nodes' rows are disjoint, so their
+        arrays hold at most (d, n) ids.
+
+        The order of rows with equal values is whatever the sort gives, and
+        it changes no node: with 0/1 labels the prefix counts at every valid
+        threshold (between two distinct values) are the same in any order,
+        the other positions are masked, a node's proba is an exact mean of
+        0/1 values, and a midpoint does not depend on which of -0.0 and 0.0
+        ends a run of equal values."""
         if train.n_samples == 0:
             raise DomainError("cannot fit a tree on an empty dataset")
         XT = np.ascontiguousarray(train.features.T, dtype=np.float64)
@@ -320,7 +326,7 @@ class DecisionTree:
         goes_left = np.zeros(train.n_samples, dtype=bool)  # read at node rows only
         leaf = (-1, 0.0, -1, -1, 0.0)  # feature, threshold, left, right, proba
         nodes = [list(leaf)]
-        stack = [(0, np.argsort(XT, axis=1, kind="stable"), 0)]
+        stack = [(0, np.argsort(XT, axis=1), 0)]
         while stack:
             node, order, depth = stack.pop()
             rows = order[0]

@@ -57,8 +57,5 @@ class Rng:
         """`size` indices sampled from range(n) without replacement."""
         return self._gen.choice(n, size=size, replace=False)
 
-    def integers(self, lo: int, hi: int) -> int:
-        return int(self._gen.integers(lo, hi))
-
     def dirichlet(self, alpha) -> np.ndarray:
         return self._gen.dirichlet(np.asarray(alpha, dtype=np.float64))

@@ -84,7 +84,7 @@ def test_02_fedsgd_equals_centralized():
         for k in range(1, 6):
             shards, pooled = make_shards(200 + 30 * k, k, seed=k)
             hp = MlpHyperparams(hidden_sizes=(4,), learning_rate=0.3)
-            config = FedConfig(k_clients=k, rounds=1, aggregation_mode=FEDSGD,
+            config = FedConfig(rounds=1, aggregation_mode=FEDSGD,
                                hyperparams=hp, seed=k)
             master = Rng(k)
             global_params = init_mlp_params(4, (4,), master)

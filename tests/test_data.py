@@ -246,7 +246,7 @@ class TestStratifiedSplit:
     def test_union_and_disjointness(self):
         for seed in range(20):
             rng = Rng(seed)
-            n = rng.integers(20, 200)
+            n = int(np.random.default_rng(seed).integers(20, 200))
             ds = data.make_synthetic(n, 0.3, 1.0, 3, rng)
             if ds.fraud_count in (0, n):
                 continue

@@ -113,6 +113,33 @@ class TestFedVsCentral:
         assert result["partition_scheme"] == "label_skew"
 
 
+class TestCommandsAgree:
+    def test_fed_vs_central_equals_benchmark_mlp_rows(self, tmp_path):
+        # Both commands train mlp_central and mlp_fed on the same split with
+        # the same seeds; only fed-vs-central scores the test set per round.
+        cfg = ExperimentConfig(**fast_overrides(tmp_path, seed=4))
+        bench = dataclasses.replace(cfg, out=str(tmp_path / "bench"))
+        fvc = dataclasses.replace(cfg, out=str(tmp_path / "fvc"))
+        experiments.run_benchmark(bench)
+        experiments.run_fed_vs_central(fvc)
+
+        def read_csv(out, name):
+            lines = (Path(out) / name).read_text().splitlines()
+            return [line.split(",") for line in lines]
+
+        bench_rows = read_csv(bench.out, "report.csv")
+        assert read_csv(fvc.out, "report.csv") == [
+            row for row in bench_rows if row[0] in ("model", "mlp_central", "mlp_fed")]
+        assert ((Path(fvc.out) / "model_fed.json").read_bytes()
+                == (Path(bench.out) / "model_fed.json").read_bytes())
+        bench_rounds = read_csv(bench.out, "rounds.csv")
+        fvc_rounds = read_csv(fvc.out, "rounds.csv")
+        assert len(bench_rounds) == len(fvc_rounds) == cfg.rounds + 1
+        assert [r[:3] for r in fvc_rounds] == [r[:3] for r in bench_rounds]
+        assert all(r[3:] == [""] * 5 for r in bench_rounds[1:])
+        assert all("" not in r for r in fvc_rounds)
+
+
 class TestSweep:
     def test_row_count_and_sorting(self, tmp_path):
         cfg = ExperimentConfig(**fast_overrides(
@@ -154,8 +181,9 @@ class TestSweep:
             rng = Rng(row["seed"]).split("sweep", row["sample_count"], row["ratio"])
             pool = experiments._stratified_subsample(source, row["sample_count"], rng)
             train, test = experiments.prepare_splits(pool, cell_cfg, rng)
-            [(proba, _)] = experiments.train_model("mlp_fed", [(train, cell_cfg, rng)])
-            _, auc = metrics.roc_auc(proba(test.features), test.labels)
+            [(scores, labels, _, _)] = experiments.train_model(
+                "mlp_fed", [(train, test, cell_cfg, rng)])
+            _, auc = metrics.roc_auc(scores, labels)
             assert auc == row["auc"]
 
 
@@ -181,6 +209,50 @@ class TestTracedNames:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
+
+    def test_traced_runs_record_the_spans_layer_metrics_reads(self, tmp_path):
+        # A name bound with `from ... import` escapes its patch: the run
+        # still works but the layer's spans and metrics silently vanish.
+        root = Path(__file__).resolve().parents[1]
+        code = """
+import json, sys
+sys.path.insert(0, 'perfbench')
+import traced
+rec = traced.Recorder()
+missing = traced.install(rec)
+from fedfraud import cli
+runs = {}
+for command in ('benchmark', 'fed-vs-central'):
+    rec.spans.clear()
+    rc = cli.main([command, '--seed', '1', '--config', sys.argv[1],
+                   '--out', sys.argv[2] + '/' + command])
+    metrics, _ = traced.layer_metrics(rec.spans)
+    names = {s['id']: s['name'] for s in rec.spans}
+    runs[command] = {'rc': rc, 'spans': sorted(set(names.values())),
+                     'calls': sorted({f"{names.get(s['parent'])} > {s['name']}"
+                                      for s in rec.spans}),
+                     'metrics': sorted(metrics)}
+print(json.dumps({'missing': missing, 'runs': runs}))
+"""
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run([sys.executable, "-c", code, _fast_cfg(tmp_path),
+                               str(tmp_path)], cwd=root, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert result["missing"] == []
+        for command, run in result["runs"].items():
+            assert run["rc"] == 0, command
+            for span in ("federated.run_training", "federated.run_round",
+                         "federated.local_update", "models.sgd_epoch",
+                         "data.partition", "experiments.train_model",
+                         "models.mlp_fit"):
+                assert span in run["spans"], (command, span)
+            # Both the central fit and the federated round step through it.
+            for call in ("models.mlp_fit > models.sgd_epoch",
+                         "federated.run_round > models.sgd_epoch"):
+                assert call in run["calls"], (command, call)
+            assert "models.sgd_steps" in run["metrics"], command
 
 
 class TestCli:
@@ -210,7 +282,7 @@ class TestCli:
         ("hidden_sizes", (0,)), ("hidden_sizes", (-1,)), ("batch_size", 1.5),
         ("rounds", 1.5), ("ratio", (0, 1)), ("k_clients", 2.5),
         ("dt_max_depth", 2.5), ("epochs", True), ("ratio", (1.5, 2)),
-        ("seed", -1),
+        ("seed", -1), ("k_clients", 0),
     ])
     def test_bad_config_value_exit_one_before_writing(self, tmp_path, capsys,
                                                       field, value):
@@ -254,6 +326,21 @@ class TestCli:
         rc = cli.main([command, "--seed", "1", "--config", str(path), "--out", str(out)])
         assert rc == 3
         assert re.search("mlp_central: every test score is .* diverged",
+                         capsys.readouterr().err)
+        assert not (out / "report.csv").exists()
+
+    def test_non_finite_scores_exit_three_naming_the_model(self, tmp_path, capsys):
+        # At this learning rate the central MLP overflows to NaN scores.
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(dict(
+            learning_rate=500, synthetic_n=5000, epochs=4, rounds=3,
+            local_epochs=1, k_clients=3, synthetic_features=5, hidden_sizes=[6])))
+        out = tmp_path / "o"
+        with np.errstate(all="ignore"):
+            rc = cli.main(["benchmark", "--seed", "1", "--config", str(path),
+                           "--out", str(out)])
+        assert rc == 3
+        assert re.search("mlp_central: 204 of 204 test scores are not finite",
                          capsys.readouterr().err)
         assert not (out / "report.csv").exists()
 

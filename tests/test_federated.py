@@ -98,7 +98,7 @@ class TestLocalUpdate:
     def test_zero_lr_returns_global_params(self):
         shards, _ = make_shards(200, 1)
         hp = MlpHyperparams(hidden_sizes=(3,), learning_rate=0.0)
-        config = FedConfig(k_clients=1, local_epochs=3, hyperparams=hp, seed=0)
+        config = FedConfig(local_epochs=3, hyperparams=hp, seed=0)
         master = Rng(0)
         global_params = init_mlp_params(4, (3,), master)
         client = make_clients(shards, master)[0]
@@ -122,7 +122,7 @@ class TestLocalUpdate:
     def test_local_loss_decreases_over_epochs(self):
         shards, _ = make_shards(300, 1, seed=4)
         hp = MlpHyperparams(hidden_sizes=(4,), learning_rate=0.1, batch_size=16)
-        config = FedConfig(k_clients=1, local_epochs=20, hyperparams=hp, seed=4)
+        config = FedConfig(local_epochs=20, hyperparams=hp, seed=4)
         master = Rng(4)
         params = init_mlp_params(4, (4,), master)
         client = make_clients(shards, master)[0]
@@ -154,7 +154,7 @@ class TestLocalUpdate:
                   for cid, n in enumerate(sizes)]
         hp = MlpHyperparams(hidden_sizes=hidden, learning_rate=0.3,
                             batch_size=batch_size)
-        config = FedConfig(k_clients=len(sizes), local_epochs=local_epochs,
+        config = FedConfig(local_epochs=local_epochs,
                            hyperparams=hp, seed=seed)
         master = Rng(seed)
         global_params = init_mlp_params(n_features, hidden, master)
@@ -180,7 +180,7 @@ class TestLocalUpdate:
     def test_empty_shard_rejected(self):
         shards, _ = make_shards(100, 1)
         empty = ClientShard(1, Dataset(np.empty((0, 4)), np.empty(0, dtype=np.intp)))
-        config = FedConfig(k_clients=2, hyperparams=MlpHyperparams(hidden_sizes=(3,)))
+        config = FedConfig(hyperparams=MlpHyperparams(hidden_sizes=(3,)))
         master = Rng(0)
         clients = make_clients(shards + [empty], master)
         with pytest.raises(DomainError, match="empty shard"):
@@ -191,7 +191,7 @@ class TestRunRound:
     def test_single_client_degenerates_to_centralized(self):
         shards, ds = make_shards(200, 1, seed=2)
         hp = MlpHyperparams(hidden_sizes=(4,), learning_rate=0.1, batch_size=16)
-        config = FedConfig(k_clients=1, rounds=1, local_epochs=3,
+        config = FedConfig(rounds=1, local_epochs=3,
                            hyperparams=hp, seed=2)
         [(params, _)] = run_training([shards], [None], [config])
 
@@ -207,7 +207,7 @@ class TestRunRound:
     def test_fedsgd_equals_centralized_step(self, k):
         shards, ds = make_shards(250, k, seed=k)
         hp = MlpHyperparams(hidden_sizes=(3,), learning_rate=0.2)
-        config = FedConfig(k_clients=k, rounds=1, aggregation_mode=FEDSGD,
+        config = FedConfig(rounds=1, aggregation_mode=FEDSGD,
                            hyperparams=hp, seed=k)
         master = Rng(k)
         global_params = init_mlp_params(4, (3,), master)
@@ -222,7 +222,7 @@ class TestRunRound:
 
     def test_partial_participation_count(self):
         shards, _ = make_shards(200, 4, seed=1)
-        config = FedConfig(k_clients=4, rounds=1, participation=0.5,
+        config = FedConfig(rounds=1, participation=0.5,
                            hyperparams=MlpHyperparams(hidden_sizes=(3,)), seed=1)
         master = Rng(1)
         params = init_mlp_params(4, (3,), master)
@@ -236,7 +236,7 @@ class TestRunRound:
         ds = data.make_synthetic(50, 0.3, 2.0, 3, Rng(0))
         empty = Dataset(np.empty((0, 3)), np.empty(0, dtype=np.intp))
         shards = [ClientShard(0, ds), ClientShard(1, empty)]
-        config = FedConfig(k_clients=2, rounds=1,
+        config = FedConfig(rounds=1,
                            hyperparams=MlpHyperparams(hidden_sizes=(2,)), seed=0)
         master = Rng(0)
         params = init_mlp_params(3, (2,), master)
@@ -248,7 +248,7 @@ class TestRunRound:
     def test_all_empty_is_round_error(self):
         empty = Dataset(np.empty((0, 3)), np.empty(0, dtype=np.intp))
         shards = [ClientShard(0, empty)]
-        config = FedConfig(k_clients=1, rounds=1,
+        config = FedConfig(rounds=1,
                            hyperparams=MlpHyperparams(hidden_sizes=(2,)), seed=0)
         master = Rng(0)
         params = init_mlp_params(3, (2,), master)
@@ -261,7 +261,7 @@ class TestRunRound:
     def test_non_finite_client_result_names_round_and_client(self, monkeypatch,
                                                              poison):
         shards, _ = make_shards(120, 3, seed=4)
-        config = FedConfig(k_clients=3, rounds=1,
+        config = FedConfig(rounds=1,
                            hyperparams=MlpHyperparams(hidden_sizes=(2,)), seed=4)
         real_results = federated.client_results
 
@@ -287,7 +287,7 @@ class TestRunRound:
 class TestRunTraining:
     def test_zero_rounds_returns_init(self):
         shards, _ = make_shards(100, 2)
-        config = FedConfig(k_clients=2, rounds=0,
+        config = FedConfig(rounds=0,
                            hyperparams=MlpHyperparams(hidden_sizes=(3,)), seed=0)
         [(params, reports)] = run_training([shards], [None], [config])
         assert reports == []
@@ -298,7 +298,7 @@ class TestRunTraining:
     def test_shard_feature_count_mismatch(self, mode):
         shards, _ = make_shards(100, 2)
         narrow = ClientShard(2, Dataset(np.zeros((5, 3)), np.zeros(5, dtype=np.intp)))
-        config = FedConfig(k_clients=3, rounds=1, aggregation_mode=mode,
+        config = FedConfig(rounds=1, aggregation_mode=mode,
                            hyperparams=MlpHyperparams(hidden_sizes=(3,)))
         with pytest.raises(ShapeError, match="input has 3 features, model expects 4"):
             run_training([shards + [narrow]], [None], [config])
@@ -306,7 +306,7 @@ class TestRunTraining:
     def test_loss_trend_on_separable_data(self):
         shards, _ = make_shards(600, 3, seed=6)
         hp = MlpHyperparams(hidden_sizes=(4,), learning_rate=0.1, batch_size=16)
-        config = FedConfig(k_clients=3, rounds=8, local_epochs=2,
+        config = FedConfig(rounds=8, local_epochs=2,
                            hyperparams=hp, seed=6)
         [(_, reports)] = run_training([shards], [None], [config])
         assert reports[-1].train_loss < reports[0].train_loss
@@ -314,7 +314,7 @@ class TestRunTraining:
     def test_bit_identical_reports_under_seed(self):
         shards, ds = make_shards(300, 3, seed=7)
         test = data.make_synthetic(100, 0.2, 3.0, 4, Rng(99))
-        config = FedConfig(k_clients=3, rounds=4,
+        config = FedConfig(rounds=4,
                            hyperparams=MlpHyperparams(hidden_sizes=(3,)), seed=7)
         [(p1, r1)] = run_training([shards], [test], [config])
         [(p2, r2)] = run_training([shards], [test], [config])
@@ -326,7 +326,7 @@ class TestRunTraining:
 
     def test_weighted_loss_matches_participants(self):
         shards, _ = make_shards(200, 2, seed=9, scheme="quantity_skew")
-        config = FedConfig(k_clients=2, rounds=1,
+        config = FedConfig(rounds=1,
                            hyperparams=MlpHyperparams(hidden_sizes=(3,)), seed=9)
         [(_, reports)] = run_training([shards], [None], [config])
         assert np.isfinite(reports[0].train_loss)
@@ -352,7 +352,7 @@ class TestBatchedFederations:
                                                     gen.integers(0, 2, n)))
                            for cid, n in enumerate(sizes[f * k:(f + 1) * k])])
             tests.append(Dataset(gen.normal(size=(12, 3)), np.arange(12) % 2))
-            configs.append(FedConfig(k_clients=k, rounds=2, local_epochs=2,
+            configs.append(FedConfig(rounds=2, local_epochs=2,
                                      participation=participation,
                                      aggregation_mode=mode, hyperparams=hp,
                                      seed=seed + f))
@@ -373,7 +373,7 @@ class TestBatchedFederations:
         {"hyperparams": MlpHyperparams(hidden_sizes=(3,), learning_rate=0.1)}])
     def test_configs_differing_beyond_seed_rejected(self, change):
         shards, _ = make_shards(100, 2)
-        first = FedConfig(k_clients=2, rounds=1,
+        first = FedConfig(rounds=1,
                           hyperparams=MlpHyperparams(hidden_sizes=(3,)), seed=0)
         second = dataclasses.replace(first, seed=1, **change)
         with pytest.raises(DomainError, match="but seed"):
@@ -381,7 +381,7 @@ class TestBatchedFederations:
 
     def test_configs_differing_in_seed_only_accepted(self):
         shards, _ = make_shards(100, 2)
-        first = FedConfig(k_clients=2, rounds=1,
+        first = FedConfig(rounds=1,
                           hyperparams=MlpHyperparams(hidden_sizes=(3,)), seed=0)
         fits = run_training([shards, shards], [None, None],
                             [first, dataclasses.replace(first, seed=1)])
