@@ -281,7 +281,8 @@ def _label_skew_chunks(train: Dataset, k: int, rng: Rng, concentration: float):
     legit = legit[rng.split("partition-legit").permutation(legit.size)]
 
     heavy = math.ceil(k / 2)
-    n_heavy_fraud = int(round(concentration * fraud.size))
+    # With k = 1 there is no light shard to take the rest of the fraud rows.
+    n_heavy_fraud = int(round(concentration * fraud.size)) if k > heavy else fraud.size
     heavy_fraud = np.array_split(fraud[:n_heavy_fraud], heavy)
     light_fraud = np.array_split(fraud[n_heavy_fraud:], k - heavy) if k > heavy else []
 

@@ -134,11 +134,9 @@ class ExperimentConfig:
     def fed_config(self) -> federated.FedConfig:
         return federated.FedConfig(
             rounds=self.rounds,
-            local_epochs=self.local_epochs,
             participation=self.participation,
             aggregation_mode=self.aggregation_mode,
             hyperparams=self.hyperparams(epochs=self.local_epochs),
-            seed=self.seed,
         )
 
 
@@ -205,34 +203,40 @@ def prepare_splits(ds: datamod.Dataset, cfg: ExperimentConfig, rng: Rng):
     return datamod.apply_standardizer(std, train), datamod.apply_standardizer(std, test)
 
 
-def train_model(name: str, cells, score_rounds: bool = False):
-    """Train one model per cell and score its test set; `cells` is an
-    iterable of (train, test, cfg, rng). Returns one (test scores, test
-    labels, round reports or [], final params for mlp_fed else None) per
-    cell.
+# A diverging fit overflows in numpy before its non-finite updates or test
+# scores are refused by name, and that refusal is the message; so numpy's
+# overflow warnings are silenced, once per call rather than per SGD step.
+@np.errstate(over="ignore", invalid="ignore")
+def train_model(name: str, cfg: ExperimentConfig, cells, score_rounds: bool = False):
+    """Train one model per cell with the settings of `cfg` and score its
+    test set; `cells` is an iterable of (train, test, rng). Returns one
+    (test scores, test labels, round reports or [], final params for mlp_fed
+    else None) per cell.
 
     mlp_fed trains the cells' federations side by side in one
-    federated.run_training call, scoring each round's global model on the
-    cell's test set if `score_rounds`. Each cell is partitioned as soon as
-    it is drawn, so of a cell only its shards and test set stay held.
+    federated.run_training call, each on its cell's rng.seed as master seed,
+    scoring each round's global model on the cell's test set if
+    `score_rounds`. Each cell is partitioned as soon as it is drawn, so of a
+    cell only its shards and test set stay held.
     """
     if name == "mlp_fed":
-        shards, tests, configs = [], [], []
-        for train, test, cfg, rng in cells:
+        shards, tests, seeds = [], [], []
+        for train, test, rng in cells:
             shards.append(datamod.partition(
                 train, cfg.k_clients, cfg.partition_scheme,
                 rng.split("partition"), dirichlet_alpha=cfg.dirichlet_alpha,
                 fraud_concentration=cfg.fraud_concentration))
             tests.append(test)
-            configs.append(cfg.fed_config())
+            seeds.append(rng.seed)
         fits = federated.run_training(
-            shards, tests if score_rounds else [None] * len(tests), configs)
+            shards, tests if score_rounds else [None] * len(tests),
+            cfg.fed_config(), seeds)
         return [(models.mlp_forward(params, test.features)[0], test.labels, reports,
                  params) for (params, reports), test in zip(fits, tests, strict=True)]
     if name not in ("lr", "dt", "mlp_central"):
         raise ConfigError(f"unknown model {name!r}")
     return [(_fit_central(name, train, cfg, rng).predict_proba(test.features),
-             test.labels, [], None) for train, test, cfg, rng in cells]
+             test.labels, [], None) for train, test, rng in cells]
 
 
 def _fit_central(name: str, train: datamod.Dataset, cfg: ExperimentConfig, rng: Rng):
@@ -324,7 +328,7 @@ def _run_models(cfg: ExperimentConfig, names, score_rounds: bool) -> list[dict]:
 
     rows = []
     for name in names:
-        [(scores, _, reports, params)] = train_model(name, [(train, test, cfg, rng)],
+        [(scores, _, reports, params)] = train_model(name, cfg, [(train, test, rng)],
                                                      score_rounds)
         _check_not_diverged(name, scores)
         rows.append({"model": name,
@@ -372,16 +376,15 @@ def _stratified_subsample(ds: datamod.Dataset, n: int, rng: Rng) -> datamod.Data
 
 def _sweep_cells(source: datamod.Dataset, cfg: ExperimentConfig,
                  sample_count: int, ratio_name: str):
-    """The sweep_repeats cells (train, test, cfg, rng) of one grid point,
-    each drawn when the consumer asks for it."""
-    ratio = parse_ratio(ratio_name)
+    """The sweep_repeats cells (train, test, rng) of one grid point, each
+    drawn when the consumer asks for it; rng.seed is the cell's seed."""
+    split_cfg = dataclasses.replace(cfg, ratio=parse_ratio(ratio_name))
     for rep in range(cfg.sweep_repeats):
         seed = cfg.seed + rep
-        cell_cfg = dataclasses.replace(cfg, ratio=ratio, seed=seed)
         rng = Rng(seed).split("sweep", sample_count, ratio_name)
         train, test = prepare_splits(_stratified_subsample(source, sample_count, rng),
-                                     cell_cfg, rng)
-        yield train, test, cell_cfg, rng
+                                     split_cfg, rng)
+        yield train, test, rng
 
 
 def run_sweep(cfg: ExperimentConfig) -> list[dict]:
@@ -401,7 +404,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict]:
             )
             continue
         for ratio_name in cfg.sweep_ratios:
-            fits = train_model(cfg.sweep_model, _sweep_cells(
+            fits = train_model(cfg.sweep_model, cfg, _sweep_cells(
                 source, cfg, sample_count, ratio_name))
             for rep, (scores, labels, _, _) in enumerate(fits):
                 _, auc = metrics.roc_auc(scores, labels)

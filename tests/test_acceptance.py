@@ -15,7 +15,7 @@ import pytest
 from fedfraud import cli, data, experiments, federated, metrics, models
 from fedfraud.data import Dataset
 from fedfraud.experiments import ExperimentConfig
-from fedfraud.federated import FEDSGD, FedConfig, make_clients, run_round
+from fedfraud.federated import FEDSGD, FedConfig, run_round
 from fedfraud.models import (MlpHyperparams, MlpParams, init_mlp_params,
                              mlp_backward, mlp_forward, mlp_loss)
 from fedfraud.numeric import Rng
@@ -84,12 +84,10 @@ def test_02_fedsgd_equals_centralized():
         for k in range(1, 6):
             shards, pooled = make_shards(200 + 30 * k, k, seed=k)
             hp = MlpHyperparams(hidden_sizes=(4,), learning_rate=0.3)
-            config = FedConfig(rounds=1, aggregation_mode=FEDSGD,
-                               hyperparams=hp, seed=k)
+            config = FedConfig(rounds=1, aggregation_mode=FEDSGD, hyperparams=hp)
             master = Rng(k)
             global_params = init_mlp_params(4, (4,), master)
-            clients = make_clients(shards, master)
-            [new_params], _ = run_round([global_params], [clients], [config],
+            [new_params], _ = run_round([global_params], [shards], config,
                                         [master], 0)
             expected = (global_params.as_vector()
                         - 0.3 * mlp_backward(

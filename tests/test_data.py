@@ -294,6 +294,27 @@ class TestResampleRatio:
         rows = [tuple(r) for r in out.features]
         assert len(rows) == len(set(rows))
 
+    @settings(max_examples=100, deadline=None)
+    @given(n_fraud=st.integers(1, 60), n_legit=st.integers(0, 200),
+           fraud_part=st.integers(1, 5), legit_part=st.integers(1, 20),
+           seed=st.integers(0, 2**16))
+    def test_keeps_fraud_and_draws_legit_without_duplicates(
+            self, n_fraud, n_legit, fraud_part, legit_part, seed):
+        # Feature = original row index, so rows can be told apart.
+        n = n_fraud + n_legit
+        labels = np.zeros(n, dtype=np.intp)
+        labels[np.random.default_rng(seed).permutation(n)[:n_fraud]] = 1
+        ds = data.Dataset(np.arange(n, dtype=float).reshape(n, 1), labels)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            out = data.resample_ratio(ds, (fraud_part, legit_part), Rng(seed))
+        rows = out.features[:, 0].astype(np.intp)
+        assert np.array_equal(out.labels, labels[rows])
+        assert len(set(rows.tolist())) == rows.size
+        assert sorted(rows[out.labels == 1]) == sorted(np.flatnonzero(labels == 1))
+        want = round(n_fraud * legit_part / fraud_part)
+        assert np.count_nonzero(out.labels == 0) == min(want, n_legit)
+
 
 class TestPartition:
     def test_single_shard_identity(self, imbalanced):
@@ -308,16 +329,33 @@ class TestPartition:
         assert sorted(s.data.n_samples for s in shards) == [25, 25, 25, 25]
 
     @pytest.mark.parametrize("scheme", ["iid", "quantity_skew", "label_skew"])
-    def test_conservation_and_disjointness(self, scheme):
-        for seed in range(10):
-            rng = Rng(seed)
-            ds = data.make_synthetic(300, 0.2, 1.0, 3, rng)
-            k = 2 + seed % 5
-            shards = data.partition(ds, k, scheme, rng.split("p"))
-            assert len(shards) == k
-            assert sum(s.data.n_samples for s in shards) == ds.n_samples
-            rows = [tuple(r) for s in shards for r in s.data.features]
-            assert len(rows) == len(set(rows))
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, 8), extra_rows=st.integers(0, 300),
+           fraud_fraction=st.floats(0.0, 1.0),
+           dirichlet_alpha=st.floats(0.01, 100.0),
+           fraud_concentration=st.floats(0.0, 1.0), seed=st.integers(0, 2**16))
+    # One label_skew shard: no light shard takes the unconcentrated fraud rows.
+    @example(k=1, extra_rows=0, fraud_fraction=1.0, dirichlet_alpha=1.0,
+             fraud_concentration=0.0, seed=0)
+    def test_conservation_and_disjointness(self, scheme, k, extra_rows,
+                                           fraud_fraction, dirichlet_alpha,
+                                           fraud_concentration, seed):
+        # Feature = original row index, so rows can be told apart.
+        n = k + extra_rows
+        labels = (np.random.default_rng(seed).uniform(size=n)
+                  < fraud_fraction).astype(np.intp)
+        ds = data.Dataset(np.arange(n, dtype=float).reshape(n, 1), labels)
+        shards = data.partition(ds, k, scheme, Rng(seed),
+                                dirichlet_alpha=dirichlet_alpha,
+                                fraud_concentration=fraud_concentration)
+        assert [s.client_id for s in shards] == list(range(k))
+        rows = np.concatenate([s.data.features[:, 0] for s in shards]).astype(np.intp)
+        assert np.array_equal(np.sort(rows), np.arange(n))
+        for s in shards:
+            assert np.array_equal(s.data.labels,
+                                  labels[s.data.features[:, 0].astype(np.intp)])
+            if scheme != "label_skew":
+                assert s.data.n_samples > 0
 
     def test_label_skew_concentrates_fraud(self):
         rng = Rng(1)

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -182,7 +183,7 @@ class TestSweep:
             pool = experiments._stratified_subsample(source, row["sample_count"], rng)
             train, test = experiments.prepare_splits(pool, cell_cfg, rng)
             [(scores, labels, _, _)] = experiments.train_model(
-                "mlp_fed", [(train, test, cell_cfg, rng)])
+                "mlp_fed", cell_cfg, [(train, test, rng)])
             _, auc = metrics.roc_auc(scores, labels)
             assert auc == row["auc"]
 
@@ -282,7 +283,8 @@ class TestCli:
         ("hidden_sizes", (0,)), ("hidden_sizes", (-1,)), ("batch_size", 1.5),
         ("rounds", 1.5), ("ratio", (0, 1)), ("k_clients", 2.5),
         ("dt_max_depth", 2.5), ("epochs", True), ("ratio", (1.5, 2)),
-        ("seed", -1), ("k_clients", 0),
+        ("seed", -1), ("k_clients", 0), ("rounds", -1), ("local_epochs", 0),
+        ("participation", 0.0), ("participation", 1.5),
     ])
     def test_bad_config_value_exit_one_before_writing(self, tmp_path, capsys,
                                                       field, value):
@@ -336,10 +338,13 @@ class TestCli:
             learning_rate=500, synthetic_n=5000, epochs=4, rounds=3,
             local_epochs=1, k_clients=3, synthetic_features=5, hidden_sizes=[6])))
         out = tmp_path / "o"
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             rc = cli.main(["benchmark", "--seed", "1", "--config", str(path),
                            "--out", str(out)])
         assert rc == 3
+        # The refusal names the model; numpy's overflow warnings are not shown.
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert re.search("mlp_central: 204 of 204 test scores are not finite",
                          capsys.readouterr().err)
         assert not (out / "report.csv").exists()

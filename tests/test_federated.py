@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,8 +8,7 @@ from fedfraud.aggregation import aggregate
 from fedfraud.data import ClientShard, Dataset
 from fedfraud.errors import DomainError, ShapeError
 from fedfraud.federated import (FEDAVG, FEDSGD, FedConfig, client_results,
-                                local_update, make_clients, run_round,
-                                run_training)
+                                local_update, run_round, run_training)
 from fedfraud.models import (MlpHyperparams, MlpParams, init_mlp_params,
                              mlp_backward, mlp_forward, mlp_loss, sgd_epoch)
 from fedfraud.numeric import Rng
@@ -30,16 +27,17 @@ def scalar_weighted_mean(contributions):
     return np.array(out)
 
 
-def reference_client_results(clients, global_params, config, round_idx):
+def reference_client_results(shards, global_params, config, master, round_idx):
     """Per-client FedAvg loop: each client trains its own copy of the global
-    params with sgd_epoch on its own rng streams, one client after another."""
+    params with sgd_epoch on its own rng streams, derived from the master
+    Rng, one client after another."""
     out = []
-    for c in clients:
-        ds = c.shard.data
+    for shard in shards:
+        ds = shard.data
         local = MlpParams.from_vector(global_params.layer_sizes,
                                       global_params.as_vector())
-        round_rng = c.rng.split("round", round_idx)
-        for e in range(config.local_epochs):
+        round_rng = master.split("client", shard.client_id).split("round", round_idx)
+        for e in range(config.hyperparams.epochs):
             sgd_epoch(local, ds, config.hyperparams, round_rng.split("epoch", e))
         probs, _ = mlp_forward(local, ds.features)
         out.append((local.as_vector(), ds.n_samples, mlp_loss(probs, ds.labels)))
@@ -97,12 +95,12 @@ class TestAggregate:
 class TestLocalUpdate:
     def test_zero_lr_returns_global_params(self):
         shards, _ = make_shards(200, 1)
-        hp = MlpHyperparams(hidden_sizes=(3,), learning_rate=0.0)
-        config = FedConfig(local_epochs=3, hyperparams=hp, seed=0)
+        hp = MlpHyperparams(hidden_sizes=(3,), learning_rate=0.0, epochs=3)
+        config = FedConfig(hyperparams=hp)
         master = Rng(0)
         global_params = init_mlp_params(4, (3,), master)
-        client = make_clients(shards, master)[0]
-        [[(vec, n_k, _)]] = client_results([[client]], [global_params], config, 0)
+        [[(vec, n_k, _)]] = client_results([shards[:1]], [global_params], config,
+                                           [master], 0)
         assert np.array_equal(vec, global_params.as_vector())
         assert n_k == shards[0].data.n_samples
 
@@ -110,8 +108,7 @@ class TestLocalUpdate:
         shards, _ = make_shards(150, 1)
         master = Rng(0)
         global_params = init_mlp_params(4, (3,), master)
-        client = make_clients(shards, master)[0]
-        vec, _, loss = local_update(client, global_params, FEDSGD)
+        vec, _, loss = local_update(shards[0], global_params, FEDSGD)
         ds = shards[0].data
         probs, caches = mlp_forward(global_params, ds.features)
         # local_update reads the loss from the forward's probabilities after
@@ -121,14 +118,15 @@ class TestLocalUpdate:
 
     def test_local_loss_decreases_over_epochs(self):
         shards, _ = make_shards(300, 1, seed=4)
-        hp = MlpHyperparams(hidden_sizes=(4,), learning_rate=0.1, batch_size=16)
-        config = FedConfig(local_epochs=20, hyperparams=hp, seed=4)
+        hp = MlpHyperparams(hidden_sizes=(4,), learning_rate=0.1, batch_size=16,
+                            epochs=20)
+        config = FedConfig(hyperparams=hp)
         master = Rng(4)
         params = init_mlp_params(4, (4,), master)
-        client = make_clients(shards, master)[0]
         before = models.mlp_loss(models.mlp_forward(params, shards[0].data.features)[0],
                                  shards[0].data.labels)
-        [[(_, _, after)]] = client_results([[client]], [params], config, 0)
+        [[(_, _, after)]] = client_results([shards[:1]], [params], config,
+                                          [master], 0)
         assert after < before
 
     @settings(max_examples=60, deadline=None)
@@ -153,15 +151,14 @@ class TestLocalUpdate:
                                            gen.integers(0, 2, n)))
                   for cid, n in enumerate(sizes)]
         hp = MlpHyperparams(hidden_sizes=hidden, learning_rate=0.3,
-                            batch_size=batch_size)
-        config = FedConfig(local_epochs=local_epochs,
-                           hyperparams=hp, seed=seed)
+                            batch_size=batch_size, epochs=local_epochs)
+        config = FedConfig(hyperparams=hp)
         master = Rng(seed)
         global_params = init_mlp_params(n_features, hidden, master)
-        clients = make_clients(shards, master)
 
-        expected = reference_client_results(clients, global_params, config, 5)
-        [got] = client_results([clients], [global_params], config, 5)
+        expected = reference_client_results(shards, global_params, config,
+                                            master, 5)
+        [got] = client_results([shards], [global_params], config, [master], 5)
         for (vec, n_k, loss), (ref_vec, ref_n, ref_loss) in zip(got, expected,
                                                                  strict=True):
             assert np.array_equal(vec, ref_vec)
@@ -170,7 +167,7 @@ class TestLocalUpdate:
             assert loss == ref_loss
 
         # run_round aggregates exactly these results, in client-id order.
-        [new_params], [report] = run_round([global_params], [clients], [config],
+        [new_params], [report] = run_round([global_params], [shards], config,
                                            [master], 5)
         agg = aggregate([(vec, n_k) for vec, n_k, _ in expected])
         assert np.array_equal(new_params.as_vector(), agg)
@@ -180,20 +177,20 @@ class TestLocalUpdate:
     def test_empty_shard_rejected(self):
         shards, _ = make_shards(100, 1)
         empty = ClientShard(1, Dataset(np.empty((0, 4)), np.empty(0, dtype=np.intp)))
-        config = FedConfig(hyperparams=MlpHyperparams(hidden_sizes=(3,)))
+        config = FedConfig(hyperparams=MlpHyperparams(hidden_sizes=(3,), epochs=2))
         master = Rng(0)
-        clients = make_clients(shards + [empty], master)
         with pytest.raises(DomainError, match="empty shard"):
-            client_results([clients], [init_mlp_params(4, (3,), master)], config, 0)
+            client_results([shards + [empty]], [init_mlp_params(4, (3,), master)],
+                           config, [master], 0)
 
 
 class TestRunRound:
     def test_single_client_degenerates_to_centralized(self):
         shards, ds = make_shards(200, 1, seed=2)
-        hp = MlpHyperparams(hidden_sizes=(4,), learning_rate=0.1, batch_size=16)
-        config = FedConfig(rounds=1, local_epochs=3,
-                           hyperparams=hp, seed=2)
-        [(params, _)] = run_training([shards], [None], [config])
+        hp = MlpHyperparams(hidden_sizes=(4,), learning_rate=0.1, batch_size=16,
+                            epochs=3)
+        config = FedConfig(rounds=1, hyperparams=hp)
+        [(params, _)] = run_training([shards], [None], config, [2])
 
         # Centralized SGD from the same init with the same derived stream.
         master = Rng(2)
@@ -207,12 +204,10 @@ class TestRunRound:
     def test_fedsgd_equals_centralized_step(self, k):
         shards, ds = make_shards(250, k, seed=k)
         hp = MlpHyperparams(hidden_sizes=(3,), learning_rate=0.2)
-        config = FedConfig(rounds=1, aggregation_mode=FEDSGD,
-                           hyperparams=hp, seed=k)
+        config = FedConfig(rounds=1, aggregation_mode=FEDSGD, hyperparams=hp)
         master = Rng(k)
         global_params = init_mlp_params(4, (3,), master)
-        clients = make_clients(shards, master)
-        [new_params], _ = run_round([global_params], [clients], [config], [master], 0)
+        [new_params], _ = run_round([global_params], [shards], config, [master], 0)
 
         pooled_grad = mlp_backward(global_params,
                                    mlp_forward(global_params, ds.features)[1],
@@ -223,13 +218,12 @@ class TestRunRound:
     def test_partial_participation_count(self):
         shards, _ = make_shards(200, 4, seed=1)
         config = FedConfig(rounds=1, participation=0.5,
-                           hyperparams=MlpHyperparams(hidden_sizes=(3,)), seed=1)
+                           hyperparams=MlpHyperparams(hidden_sizes=(3,), epochs=2))
         master = Rng(1)
         params = init_mlp_params(4, (3,), master)
-        clients = make_clients(shards, master)
-        _, [report] = run_round([params], [clients], [config], [master], 0)
+        _, [report] = run_round([params], [shards], config, [master], 0)
         assert len(report.participant_ids) == 2
-        _, [report2] = run_round([params], [clients], [config], [Rng(1)], 0)
+        _, [report2] = run_round([params], [shards], config, [Rng(1)], 0)
         assert report.participant_ids == report2.participant_ids
 
     def test_empty_shards_skipped_with_warning(self):
@@ -237,37 +231,35 @@ class TestRunRound:
         empty = Dataset(np.empty((0, 3)), np.empty(0, dtype=np.intp))
         shards = [ClientShard(0, ds), ClientShard(1, empty)]
         config = FedConfig(rounds=1,
-                           hyperparams=MlpHyperparams(hidden_sizes=(2,)), seed=0)
+                           hyperparams=MlpHyperparams(hidden_sizes=(2,), epochs=2))
         master = Rng(0)
         params = init_mlp_params(3, (2,), master)
-        clients = make_clients(shards, master)
         with pytest.warns(UserWarning, match="empty shard"):
-            _, [report] = run_round([params], [clients], [config], [master], 0)
+            _, [report] = run_round([params], [shards], config, [master], 0)
         assert report.participant_ids == [0]
 
     def test_all_empty_is_round_error(self):
         empty = Dataset(np.empty((0, 3)), np.empty(0, dtype=np.intp))
         shards = [ClientShard(0, empty)]
         config = FedConfig(rounds=1,
-                           hyperparams=MlpHyperparams(hidden_sizes=(2,)), seed=0)
+                           hyperparams=MlpHyperparams(hidden_sizes=(2,), epochs=2))
         master = Rng(0)
         params = init_mlp_params(3, (2,), master)
         with pytest.warns(UserWarning):
             with pytest.raises(DomainError):
-                run_round([params], [make_clients(shards, master)], [config],
-                          [master], 0)
+                run_round([params], [shards], config, [master], 0)
 
     @pytest.mark.parametrize("poison", ["update", "loss"])
     def test_non_finite_client_result_names_round_and_client(self, monkeypatch,
                                                              poison):
         shards, _ = make_shards(120, 3, seed=4)
         config = FedConfig(rounds=1,
-                           hyperparams=MlpHyperparams(hidden_sizes=(2,)), seed=4)
+                           hyperparams=MlpHyperparams(hidden_sizes=(2,), epochs=2))
         real_results = federated.client_results
 
-        def poisoned(clients, params, cfg, round_idx):
-            results = real_results(clients, params, cfg, round_idx)
-            pos = [c.client_id for c in clients[0]].index(1)
+        def poisoned(active, params, cfg, masters, round_idx):
+            results = real_results(active, params, cfg, masters, round_idx)
+            pos = [s.client_id for s in active[0]].index(1)
             vec, n_k, loss = results[0][pos]
             vec = vec.copy()
             if poison == "update":
@@ -281,15 +273,15 @@ class TestRunRound:
         master = Rng(4)
         params = init_mlp_params(4, (2,), master)
         with pytest.raises(DomainError, match="round 3: client 1 .*non-finite"):
-            run_round([params], [make_clients(shards, master)], [config], [master], 3)
+            run_round([params], [shards], config, [master], 3)
 
 
 class TestRunTraining:
     def test_zero_rounds_returns_init(self):
         shards, _ = make_shards(100, 2)
         config = FedConfig(rounds=0,
-                           hyperparams=MlpHyperparams(hidden_sizes=(3,)), seed=0)
-        [(params, reports)] = run_training([shards], [None], [config])
+                           hyperparams=MlpHyperparams(hidden_sizes=(3,), epochs=2))
+        [(params, reports)] = run_training([shards], [None], config, [0])
         assert reports == []
         assert np.array_equal(params.as_vector(),
                               init_mlp_params(4, (3,), Rng(0)).as_vector())
@@ -299,25 +291,25 @@ class TestRunTraining:
         shards, _ = make_shards(100, 2)
         narrow = ClientShard(2, Dataset(np.zeros((5, 3)), np.zeros(5, dtype=np.intp)))
         config = FedConfig(rounds=1, aggregation_mode=mode,
-                           hyperparams=MlpHyperparams(hidden_sizes=(3,)))
+                           hyperparams=MlpHyperparams(hidden_sizes=(3,), epochs=2))
         with pytest.raises(ShapeError, match="input has 3 features, model expects 4"):
-            run_training([shards + [narrow]], [None], [config])
+            run_training([shards + [narrow]], [None], config, [0])
 
     def test_loss_trend_on_separable_data(self):
         shards, _ = make_shards(600, 3, seed=6)
-        hp = MlpHyperparams(hidden_sizes=(4,), learning_rate=0.1, batch_size=16)
-        config = FedConfig(rounds=8, local_epochs=2,
-                           hyperparams=hp, seed=6)
-        [(_, reports)] = run_training([shards], [None], [config])
+        hp = MlpHyperparams(hidden_sizes=(4,), learning_rate=0.1, batch_size=16,
+                            epochs=2)
+        config = FedConfig(rounds=8, hyperparams=hp)
+        [(_, reports)] = run_training([shards], [None], config, [6])
         assert reports[-1].train_loss < reports[0].train_loss
 
     def test_bit_identical_reports_under_seed(self):
         shards, ds = make_shards(300, 3, seed=7)
         test = data.make_synthetic(100, 0.2, 3.0, 4, Rng(99))
         config = FedConfig(rounds=4,
-                           hyperparams=MlpHyperparams(hidden_sizes=(3,)), seed=7)
-        [(p1, r1)] = run_training([shards], [test], [config])
-        [(p2, r2)] = run_training([shards], [test], [config])
+                           hyperparams=MlpHyperparams(hidden_sizes=(3,), epochs=2))
+        [(p1, r1)] = run_training([shards], [test], config, [7])
+        [(p2, r2)] = run_training([shards], [test], config, [7])
         assert np.array_equal(p1.as_vector(), p2.as_vector())
         for a, b in zip(r1, r2):
             assert a.train_loss == b.train_loss
@@ -327,8 +319,8 @@ class TestRunTraining:
     def test_weighted_loss_matches_participants(self):
         shards, _ = make_shards(200, 2, seed=9, scheme="quantity_skew")
         config = FedConfig(rounds=1,
-                           hyperparams=MlpHyperparams(hidden_sizes=(3,)), seed=9)
-        [(_, reports)] = run_training([shards], [None], [config])
+                           hyperparams=MlpHyperparams(hidden_sizes=(3,), epochs=2))
+        [(_, reports)] = run_training([shards], [None], config, [9])
         assert np.isfinite(reports[0].train_loss)
 
 
@@ -345,47 +337,39 @@ class TestBatchedFederations:
                                    batch_size, seed):
         gen = np.random.default_rng(seed)
         hp = MlpHyperparams(hidden_sizes=(3,), learning_rate=0.3,
-                            batch_size=batch_size)
-        shards, tests, configs = [], [], []
+                            batch_size=batch_size, epochs=2)
+        config = FedConfig(rounds=2, participation=participation,
+                           aggregation_mode=mode, hyperparams=hp)
+        shards, tests = [], []
         for f in range(n_feds):
             shards.append([ClientShard(cid, Dataset(gen.normal(size=(n, 3)),
                                                     gen.integers(0, 2, n)))
                            for cid, n in enumerate(sizes[f * k:(f + 1) * k])])
             tests.append(Dataset(gen.normal(size=(12, 3)), np.arange(12) % 2))
-            configs.append(FedConfig(rounds=2, local_epochs=2,
-                                     participation=participation,
-                                     aggregation_mode=mode, hyperparams=hp,
-                                     seed=seed + f))
+        seeds = [seed + f for f in range(n_feds)]
 
-        together = run_training(shards, tests, configs)
+        together = run_training(shards, tests, config, seeds)
         assert len(together) == n_feds
         for f, (params, reports) in enumerate(together):
             [(alone, alone_reports)] = run_training([shards[f]], [tests[f]],
-                                                    [configs[f]])
+                                                    config, [seeds[f]])
             assert np.array_equal(params.as_vector(), alone.as_vector())
             assert np.array_equal(np.signbit(params.as_vector()),
                                   np.signbit(alone.as_vector()))
             assert reports == alone_reports
 
-    @pytest.mark.parametrize("change", [
-        {"local_epochs": 3}, {"participation": 0.5},
-        {"aggregation_mode": FEDSGD},
-        {"hyperparams": MlpHyperparams(hidden_sizes=(3,), learning_rate=0.1)}])
-    def test_configs_differing_beyond_seed_rejected(self, change):
+    def test_two_seeds_give_different_params(self):
         shards, _ = make_shards(100, 2)
-        first = FedConfig(rounds=1,
-                          hyperparams=MlpHyperparams(hidden_sizes=(3,)), seed=0)
-        second = dataclasses.replace(first, seed=1, **change)
-        with pytest.raises(DomainError, match="but seed"):
-            run_training([shards, shards], [None, None], [first, second])
-
-    def test_configs_differing_in_seed_only_accepted(self):
-        shards, _ = make_shards(100, 2)
-        first = FedConfig(rounds=1,
-                          hyperparams=MlpHyperparams(hidden_sizes=(3,)), seed=0)
-        fits = run_training([shards, shards], [None, None],
-                            [first, dataclasses.replace(first, seed=1)])
+        config = FedConfig(rounds=1,
+                           hyperparams=MlpHyperparams(hidden_sizes=(3,), epochs=2))
+        fits = run_training([shards, shards], [None, None], config, [0, 1])
         assert not np.array_equal(fits[0][0].as_vector(), fits[1][0].as_vector())
+
+    @pytest.mark.parametrize("seeds", [[0], [0, 1, 2]])
+    def test_seed_count_must_match_federations(self, seeds):
+        shards, _ = make_shards(100, 2)
+        with pytest.raises(DomainError, match="one seed"):
+            run_training([shards, shards], [None, None], FedConfig(), seeds)
 
 
 class TestPrivacyBoundary:

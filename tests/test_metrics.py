@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fedfraud import metrics
 from fedfraud.errors import DomainError, ShapeError
@@ -188,17 +190,21 @@ class TestRocAuc:
         assert (np.diff(curve[:, 1]) >= 0).all()
         assert (curve >= 0).all() and (curve <= 1).all()
 
-    def test_monotone_transform_invariance(self):
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            n = int(rng.integers(4, 40))
-            labels = (rng.uniform(size=n) > 0.5).astype(int)
-            if labels.min() == labels.max():
-                continue
-            scores = rng.uniform(size=n)
-            _, auc = roc_auc(scores, labels)
-            _, auc2 = roc_auc(np.exp(3.0 * scores), labels)
-            assert auc2 == pytest.approx(auc, abs=1e-12)
+    # Scores on a 1e-3 grid: a strictly increasing transform keeps distinct
+    # grid values distinct in floating point, and ties stay ties.
+    @settings(max_examples=100, deadline=None)
+    @given(cells=st.lists(st.tuples(st.integers(0, 1000), st.integers(0, 1)),
+                          min_size=2, max_size=40),
+           transform=st.sampled_from([lambda s: np.exp(3.0 * s),
+                                      lambda s: 10.0 * s - 4.0,
+                                      lambda s: s ** 3 + s]))
+    def test_monotone_transform_invariance(self, cells, transform):
+        scores = np.array([c for c, _ in cells]) / 1000.0
+        labels = np.array([y for _, y in cells])
+        assume(labels.min() != labels.max())
+        _, auc = roc_auc(scores, labels)
+        _, auc2 = roc_auc(transform(scores), labels)
+        assert auc2 == pytest.approx(auc, abs=1e-12)
 
     def test_single_class_rejected(self):
         with pytest.raises(DomainError):
