@@ -287,7 +287,8 @@ def _label_skew_chunks(train: Dataset, k: int, rng: Rng, concentration: float):
     light_fraud = np.array_split(fraud[n_heavy_fraud:], k - heavy) if k > heavy else []
 
     chunks = [np.asarray(c, dtype=np.intp) for c in heavy_fraud + list(light_fraud)]
-    # Top up with legit rows so shard sizes stay near-equal.
+    # Top up with legit rows so shard sizes stay near-equal. This places every
+    # legit row: sum(max(target - fraud, 0)) >= n - fraud.size = legit.size.
     targets = [len(c) for c in np.array_split(np.arange(train.n_samples), k)]
     pos = 0
     for i in range(k):
@@ -295,12 +296,6 @@ def _label_skew_chunks(train: Dataset, k: int, rng: Rng, concentration: float):
         need = min(need, legit.size - pos)
         chunks[i] = np.concatenate([chunks[i], legit[pos:pos + need]])
         pos += need
-    # Distribute any remainder round-robin.
-    i = 0
-    while pos < legit.size:
-        chunks[i % k] = np.concatenate([chunks[i % k], legit[pos:pos + 1]])
-        pos += 1
-        i += 1
     return chunks
 
 

@@ -82,8 +82,11 @@ class ExperimentConfig:
         self.sweep_ratios = tuple(self.sweep_ratios)
         if len(self.ratio) != 2:
             raise ConfigError(f"ratio: expected two parts, got {self.ratio}")
-        for r in self.sweep_ratios:
-            parse_ratio(r)
+        try:
+            for r in self.sweep_ratios:
+                parse_ratio(r)
+        except ConfigError as exc:
+            raise ConfigError(f"sweep_ratios: {exc} (of {self.sweep_ratios!r})") from None
         if self.sweep_model not in ("lr", "dt", "mlp_central", "mlp_fed"):
             raise ConfigError(f"sweep_model: unknown model {self.sweep_model!r}")
         if self.partition_scheme not in datamod.PARTITION_SCHEMES:
@@ -93,6 +96,12 @@ class ExperimentConfig:
         checks = (
             ("seed", self.seed >= 0, "must be >= 0"),
             ("k_clients", self.k_clients >= 1, "must be >= 1"),
+            ("local_epochs", self.local_epochs >= 1, "must be >= 1"),
+            ("aggregation_mode", self.aggregation_mode in (federated.FEDAVG, federated.FEDSGD),
+             f"must be {federated.FEDAVG!r} or {federated.FEDSGD!r}"),
+            ("dt_max_depth", self.dt_max_depth is None or self.dt_max_depth >= 0,
+             "must be >= 0 or null"),
+            ("dt_min_samples_leaf", self.dt_min_samples_leaf >= 1, "must be >= 1"),
             ("ratio", all(r >= 1 for r in self.ratio), "parts must be >= 1"),
             ("test_fraction", 0.0 < self.test_fraction < 1.0, "must be in (0, 1)"),
             ("threshold", 0.0 <= self.threshold <= 1.0, "must be in [0, 1]"),
@@ -207,17 +216,16 @@ def prepare_splits(ds: datamod.Dataset, cfg: ExperimentConfig, rng: Rng):
 # scores are refused by name, and that refusal is the message; so numpy's
 # overflow warnings are silenced, once per call rather than per SGD step.
 @np.errstate(over="ignore", invalid="ignore")
-def train_model(name: str, cfg: ExperimentConfig, cells, score_rounds: bool = False):
-    """Train one model per cell with the settings of `cfg` and score its
-    test set; `cells` is an iterable of (train, test, rng). Returns one
-    (test scores, test labels, round reports or [], final params for mlp_fed
-    else None) per cell.
+def train_model(name: str, cfg: ExperimentConfig, cells):
+    """Train one model per cell with the settings of `cfg`, score its test
+    set and refuse a diverged fit (_check_not_diverged); `cells` is an
+    iterable of (train, test, rng). Returns one (test scores, test labels,
+    round reports or [], final params for mlp_fed else None) per cell.
 
     mlp_fed trains the cells' federations side by side in one
-    federated.run_training call, each on its cell's rng.seed as master seed,
-    scoring each round's global model on the cell's test set if
-    `score_rounds`. Each cell is partitioned as soon as it is drawn, so of a
-    cell only its shards and test set stay held.
+    federated.run_training call, each on its cell's rng.seed as master seed.
+    Each cell is partitioned as soon as it is drawn, so of a cell only its
+    shards and test set stay held.
     """
     if name == "mlp_fed":
         shards, tests, seeds = [], [], []
@@ -228,15 +236,18 @@ def train_model(name: str, cfg: ExperimentConfig, cells, score_rounds: bool = Fa
                 fraud_concentration=cfg.fraud_concentration))
             tests.append(test)
             seeds.append(rng.seed)
-        fits = federated.run_training(
-            shards, tests if score_rounds else [None] * len(tests),
-            cfg.fed_config(), seeds)
-        return [(models.mlp_forward(params, test.features)[0], test.labels, reports,
-                 params) for (params, reports), test in zip(fits, tests, strict=True)]
-    if name not in ("lr", "dt", "mlp_central"):
+        fits = federated.run_training(shards, cfg.fed_config(), seeds)
+        results = [(models.mlp_forward(params, test.features)[0], test.labels,
+                    reports, params)
+                   for (params, reports), test in zip(fits, tests, strict=True)]
+    elif name in ("lr", "dt", "mlp_central"):
+        results = [(_fit_central(name, train, cfg, rng).predict_proba(test.features),
+                    test.labels, [], None) for train, test, rng in cells]
+    else:
         raise ConfigError(f"unknown model {name!r}")
-    return [(_fit_central(name, train, cfg, rng).predict_proba(test.features),
-             test.labels, [], None) for train, test, rng in cells]
+    for scores, *_ in results:
+        _check_not_diverged(name, scores)
+    return results
 
 
 def _fit_central(name: str, train: datamod.Dataset, cfg: ExperimentConfig, rng: Rng):
@@ -290,20 +301,16 @@ def write_report_txt(path, rows):
         fh.write("\n".join(lines) + "\n")
 
 
-def write_rounds_csv(path, reports: list[federated.RoundReport]):
+def write_rounds_csv(path, reports: list[federated.RoundReport],
+                     round_metrics: list[dict]):
+    """One row per round: its participants, train loss and the metrics dict
+    round_metrics gives it ({} leaves the metric cells empty)."""
     header = ["round", "participants", "train_loss", "auc", "accuracy",
               "precision", "recall", "f1"]
-    rows = []
-    for r in reports:
-        m = r.test_metrics or {}
-        rows.append([
-            r.round_index,
-            ";".join(str(i) for i in r.participant_ids),
-            r.train_loss,
-            m.get("auc", ""), m.get("accuracy", ""), m.get("precision", ""),
-            m.get("recall", ""), m.get("f1", ""),
-        ])
-    write_rows_csv(path, header, rows)
+    write_rows_csv(path, header, [
+        [r.round_index, ";".join(str(i) for i in r.participant_ids), r.train_loss,
+         *(m.get(c, "") for c in header[3:])]
+        for r, m in zip(reports, round_metrics, strict=True)])
 
 
 def _write_common(cfg: ExperimentConfig, out: str):
@@ -320,7 +327,9 @@ BENCHMARK_MODELS = ("lr", "dt", "mlp_central", "mlp_fed")
 def _run_models(cfg: ExperimentConfig, names, score_rounds: bool) -> list[dict]:
     """Train `names` (mlp_fed among them) on one shared split and write
     report.csv, report.txt, rounds.csv and model_fed.json. Returns the
-    report rows, one per model in the given order."""
+    report rows, one per model in the given order. With `score_rounds`,
+    rounds.csv scores each round's global model on the test set at
+    cfg.threshold, as report.csv scores the final models."""
     source = load_source(cfg)
     _write_common(cfg, cfg.out)
     rng = Rng(cfg.seed)
@@ -328,18 +337,20 @@ def _run_models(cfg: ExperimentConfig, names, score_rounds: bool) -> list[dict]:
 
     rows = []
     for name in names:
-        [(scores, _, reports, params)] = train_model(name, cfg, [(train, test, rng)],
-                                                     score_rounds)
-        _check_not_diverged(name, scores)
+        [(scores, _, reports, params)] = train_model(name, cfg, [(train, test, rng)])
         rows.append({"model": name,
                      **metrics.summarize(scores, test.labels, cfg.threshold)})
         if name == "mlp_fed":
             fed_reports, fed_params = reports, params
+    round_metrics = [
+        metrics.summarize(models.mlp_forward(r.params, test.features)[0],
+                          test.labels, cfg.threshold) if score_rounds else {}
+        for r in fed_reports]
 
     write_rows_csv(os.path.join(cfg.out, "report.csv"), REPORT_COLUMNS,
                    [[r[c] for c in REPORT_COLUMNS] for r in rows])
     write_report_txt(os.path.join(cfg.out, "report.txt"), rows)
-    write_rounds_csv(os.path.join(cfg.out, "rounds.csv"), fed_reports)
+    write_rounds_csv(os.path.join(cfg.out, "rounds.csv"), fed_reports, round_metrics)
     models.save_checkpoint(fed_params, os.path.join(cfg.out, "model_fed.json"))
     return rows
 
@@ -419,9 +430,6 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict]:
 
 
 def run_gen_synthetic(cfg: ExperimentConfig, path: str) -> datamod.Dataset:
-    rng = Rng(cfg.seed).split("synthetic-source")
-    ds = datamod.make_synthetic(cfg.synthetic_n, cfg.synthetic_fraud_fraction,
-                                cfg.synthetic_separation, cfg.synthetic_features,
-                                rng)
+    ds = load_source(dataclasses.replace(cfg, data=None))
     datamod.write_csv(ds, path, label_column=cfg.label_column)
     return ds

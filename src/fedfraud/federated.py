@@ -1,7 +1,9 @@
 """Synchronous federated training over simulated clients.
 
 Each round: select participants, compute their updates, aggregate by
-sample-count weights, advance the global model. Client RNG streams are
+sample-count weights, advance the global model. The round loop sees client
+shards and nothing else: it never scores a model on test data, which is the
+experimenter's job (experiments). Client RNG streams are
 derived from (master seed, client id, round), in client_results only, so
 results do not depend on the order in which clients are processed.
 
@@ -27,9 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import metrics
 from .aggregation import aggregate
-from .data import ClientShard, Dataset, DatasetStack
+from .data import ClientShard, DatasetStack
 from .errors import DomainError
 from .models import (MlpHyperparams, MlpParams, init_mlp_params, mlp_backward,
                      mlp_forward, mlp_loss, sgd_epoch)
@@ -37,6 +38,16 @@ from .numeric import Rng
 
 FEDAVG = "fedavg_params"
 FEDSGD = "fedsgd_gradients"
+
+# Rows per forward pass in a FedAvg client's local-loss pass. A whole-shard
+# matmul on a large shard is big enough for OpenBLAS to hand to its worker
+# threads, which then spin for about 0.1 s; with such a client in every few
+# rounds they spin through the whole round loop, so CPU time would hinge on
+# the largest shard. 1024 rows times a 30 x 16 layer stay on one thread (under
+# twice OpenBLAS's 2^18 multiply-adds per thread). The loss may differ from a
+# whole-shard pass in its last bits; the payload does not depend on it.
+# FedSGD's gradient sums over the whole shard and is not split.
+LOSS_BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -65,7 +76,7 @@ class RoundReport:
     round_index: int
     participant_ids: list[int]
     train_loss: float
-    test_metrics: dict | None
+    params: MlpParams                  # the global model this round produced
 
 
 def local_update(shard: ClientShard, params: MlpParams, mode: str):
@@ -76,10 +87,13 @@ def local_update(shard: ClientShard, params: MlpParams, mode: str):
     local training (client_results) and the payload is its parameters.
     """
     ds = shard.data
-    probs, caches = mlp_forward(params, ds.features)
-    payload = (mlp_backward(params, caches, ds.labels) if mode == FEDSGD
-               else params.as_vector())
-    return payload, ds.n_samples, mlp_loss(probs, ds.labels)
+    if mode == FEDSGD:
+        probs, caches = mlp_forward(params, ds.features)
+        return (mlp_backward(params, caches, ds.labels), ds.n_samples,
+                mlp_loss(probs, ds.labels))
+    probs = np.concatenate([mlp_forward(params, ds.features[i:i + LOSS_BLOCK_ROWS])[0]
+                            for i in range(0, max(ds.n_samples, 1), LOSS_BLOCK_ROWS)])
+    return params.as_vector(), ds.n_samples, mlp_loss(probs, ds.labels)
 
 
 def client_results(shards: list[list[ClientShard]],
@@ -148,10 +162,9 @@ def _active_clients(shards: list[ClientShard], config: FedConfig, master: Rng,
 
 
 def _advance(global_params: MlpParams, active: list[ClientShard], results,
-             config: FedConfig, master: Rng, round_idx: int,
-             test: Dataset | None):
-    """One federation's aggregation step from its clients' results: the new
-    global params and the round's RoundReport."""
+             config: FedConfig, master: Rng, round_idx: int) -> RoundReport:
+    """One federation's aggregation step from its clients' results: the
+    round's RoundReport, whose params are the new global model."""
     for s, (vec, _, loss) in zip(active, results):
         if not (np.isfinite(loss) and np.isfinite(vec).all()):
             raise DomainError(f"round {round_idx}: client {s.client_id} (seed "
@@ -159,65 +172,45 @@ def _advance(global_params: MlpParams, active: list[ClientShard], results,
                               "local loss")
 
     # Fixed client-id order into the aggregator.
-    contributions = [(vec, n_k) for vec, n_k, _ in results]
-    agg = aggregate(contributions)
-    if config.aggregation_mode == FEDAVG:
-        new_params = MlpParams.from_vector(global_params.layer_sizes, agg)
-    else:
-        step = global_params.as_vector() - config.hyperparams.learning_rate * agg
-        new_params = MlpParams.from_vector(global_params.layer_sizes, step)
-
+    agg = aggregate([(vec, n_k) for vec, n_k, _ in results])
+    if config.aggregation_mode == FEDSGD:
+        agg = global_params.as_vector() - config.hyperparams.learning_rate * agg
     n_total = sum(n_k for _, n_k, _ in results)
-    train_loss = sum((n_k / n_total) * loss for _, n_k, loss in results)
-
-    test_metrics = None
-    if test is not None and test.n_samples > 0:
-        probs, _ = mlp_forward(new_params, test.features)
-        test_metrics = metrics.summarize(probs, test.labels)
-
-    report = RoundReport(
+    return RoundReport(
         round_index=round_idx,
         participant_ids=[s.client_id for s in active],
-        train_loss=float(train_loss),
-        test_metrics=test_metrics,
+        train_loss=float(sum((n_k / n_total) * loss for _, n_k, loss in results)),
+        params=MlpParams.from_vector(global_params.layer_sizes, agg),
     )
-    return new_params, report
 
 
 def run_round(global_params: list[MlpParams], shards: list[list[ClientShard]],
-              config: FedConfig, masters: list[Rng], round_idx: int,
-              tests: list[Dataset | None] | None = None):
+              config: FedConfig, masters: list[Rng], round_idx: int):
     """Round `round_idx` of F federations sharing `config`: federation f has
-    global model global_params[f], client shards shards[f], master Rng
-    masters[f] and test set tests[f] (default: none). All active clients
-    train in one client_results call; aggregation, the finiteness check,
-    the train loss and the test metrics are per federation.
+    global model global_params[f], client shards shards[f] and master Rng
+    masters[f]. All active clients train in one client_results call;
+    aggregation, the finiteness check and the train loss are per federation.
 
-    Returns (new global params, RoundReport), each a list over federations.
+    Returns one RoundReport per federation; its params are the new global
+    model.
     """
-    if tests is None:
-        tests = [None] * len(shards)
     active = [_active_clients(fed, config, master, round_idx)
               for fed, master in zip(shards, masters, strict=True)]
     results = client_results(active, global_params, config, masters, round_idx)
-    new_params, reports = [], []
-    for params, fed_active, fed_results, master, test in zip(
-            global_params, active, results, masters, tests, strict=True):
-        params, report = _advance(params, fed_active, fed_results, config,
-                                  master, round_idx, test)
-        new_params.append(params)
-        reports.append(report)
-    return new_params, reports
+    return [_advance(params, fed_active, fed_results, config, master, round_idx)
+            for params, fed_active, fed_results, master in zip(
+                global_params, active, results, masters, strict=True)]
 
 
-def run_training(shards: list[list[ClientShard]], tests: list[Dataset | None],
-                 config: FedConfig, seeds: list[int]):
+def run_training(shards: list[list[ClientShard]], config: FedConfig,
+                 seeds: list[int]):
     """F federated runs sharing `config`, trained side by side: federation f
-    has client shards shards[f], test set tests[f] (None for no per-round
-    metrics) and master seed seeds[f]. Each gets a seeded init, T rounds and
-    per-round reports, bit-identical to a run of that federation alone.
+    has client shards shards[f] and master seed seeds[f]. Each gets a seeded
+    init, T rounds and per-round reports, bit-identical to a run of that
+    federation alone.
 
-    Returns one (final MlpParams, list of RoundReport) per federation.
+    Returns one (final MlpParams, list of RoundReport) per federation; with
+    0 rounds the final params are the init.
     """
     if not shards or len(seeds) != len(shards) or not all(shards):
         raise DomainError("run_training needs one seed and at least one shard "
@@ -227,10 +220,8 @@ def run_training(shards: list[list[ClientShard]], tests: list[Dataset | None],
                               config.hyperparams.hidden_sizes, master)
               for fed, master in zip(shards, masters)]
 
-    reports = [[] for _ in shards]
+    rounds = []
     for t in range(config.rounds):
-        params, round_reports = run_round(params, shards, config, masters, t,
-                                          tests)
-        for fed_reports, report in zip(reports, round_reports):
-            fed_reports.append(report)
-    return list(zip(params, reports))
+        rounds.append(run_round(params, shards, config, masters, t))
+        params = [report.params for report in rounds[-1]]
+    return [(p, [r[f] for r in rounds]) for f, p in enumerate(params)]

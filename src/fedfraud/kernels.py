@@ -9,12 +9,8 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     Elementwise on an array of any shape; the result has z's shape.
     """
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))             # exp(-z) for z >= 0, exp(z) below; <= 1
+    return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 # --- decision-tree split search ---------------------------------------------

@@ -87,14 +87,13 @@ def test_02_fedsgd_equals_centralized():
             config = FedConfig(rounds=1, aggregation_mode=FEDSGD, hyperparams=hp)
             master = Rng(k)
             global_params = init_mlp_params(4, (4,), master)
-            [new_params], _ = run_round([global_params], [shards], config,
-                                        [master], 0)
+            [report] = run_round([global_params], [shards], config, [master], 0)
             expected = (global_params.as_vector()
                         - 0.3 * mlp_backward(
                             global_params,
                             mlp_forward(global_params, pooled.features)[1],
                             pooled.labels))
-            err = np.max(np.abs(new_params.as_vector() - expected))
+            err = np.max(np.abs(report.params.as_vector() - expected))
             assert err <= 1e-12, f"K={k}: max deviation {err:.2e}"
 
 

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import filecmp
 import json
@@ -284,7 +285,8 @@ class TestCli:
         ("rounds", 1.5), ("ratio", (0, 1)), ("k_clients", 2.5),
         ("dt_max_depth", 2.5), ("epochs", True), ("ratio", (1.5, 2)),
         ("seed", -1), ("k_clients", 0), ("rounds", -1), ("local_epochs", 0),
-        ("participation", 0.0), ("participation", 1.5),
+        ("participation", 0.0), ("participation", 1.5), ("local_epochs", -1),
+        ("dt_max_depth", -1), ("sweep_ratios", ("1:0",)),
     ])
     def test_bad_config_value_exit_one_before_writing(self, tmp_path, capsys,
                                                       field, value):
@@ -295,6 +297,7 @@ class TestCli:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and str(value) in err
+        assert field in err
         assert not (out / "config.json").exists()
 
     def test_data_error_exit_two(self, tmp_path, capsys):
@@ -330,6 +333,49 @@ class TestCli:
         assert re.search("mlp_central: every test score is .* diverged",
                          capsys.readouterr().err)
         assert not (out / "report.csv").exists()
+
+    def test_diverged_sweep_cell_exit_three_before_sweep_csv(self, tmp_path, capsys):
+        # At this learning rate every federated cell scores all test rows 0.
+        path = tmp_path / "diverge.json"
+        path.write_text(json.dumps(dict(
+            learning_rate=5000, synthetic_n=3000, synthetic_features=5,
+            sweep_sample_counts=[1000], sweep_repeats=2, rounds=2,
+            local_epochs=1, hidden_sizes=[6])))
+        out = tmp_path / "o"
+        rc = cli.main(["sweep-sampling", "--seed", "1", "--config", str(path),
+                       "--out", str(out)])
+        assert rc == 3
+        assert re.search("mlp_fed: .* diverged", capsys.readouterr().err)
+        assert not (out / "sweep.csv").exists()
+
+    def test_rounds_csv_scores_at_threshold_like_report(self, tmp_path):
+        # The last round's global model is the final federated model, so its
+        # rounds.csv row must equal report.csv's mlp_fed row at any threshold.
+        path = tmp_path / "thr.json"
+        path.write_text(json.dumps(dict(threshold=0.2, synthetic_n=3000,
+                                        rounds=3, epochs=3)))
+        out = tmp_path / "o"
+        rc = cli.main(["fed-vs-central", "--seed", "1", "--config", str(path),
+                       "--out", str(out)])
+        assert rc == 0
+        with open(out / "rounds.csv", newline="") as fh:
+            last = list(csv.DictReader(fh))[-1]
+        with open(out / "report.csv", newline="") as fh:
+            [fed] = [r for r in csv.DictReader(fh) if r["model"] == "mlp_fed"]
+        for col in ("auc", "accuracy", "precision", "recall", "f1"):
+            assert last[col] == fed[col], col
+
+    def test_benchmark_on_gen_synthetic_csv_equals_in_memory_source(self, tmp_path):
+        cfg = _fast_cfg(tmp_path)
+        csv_path = tmp_path / "synth.csv"
+        assert cli.main(["gen-synthetic", "--seed", "3", "--config", cfg,
+                         "--output", str(csv_path), "--out", str(tmp_path / "g")]) == 0
+        for name, extra in (("mem", []), ("csv", ["--data", str(csv_path)])):
+            assert cli.main(["benchmark", "--seed", "3", "--config", cfg,
+                             "--out", str(tmp_path / name), *extra]) == 0
+        for report in ("report.csv", "rounds.csv", "model_fed.json"):
+            assert ((tmp_path / "mem" / report).read_bytes()
+                    == (tmp_path / "csv" / report).read_bytes()), report
 
     def test_non_finite_scores_exit_three_naming_the_model(self, tmp_path, capsys):
         # At this learning rate the central MLP overflows to NaN scores.

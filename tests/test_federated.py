@@ -44,6 +44,17 @@ def reference_client_results(shards, global_params, config, master, round_idx):
     return out
 
 
+def assert_same_reports(reports, expected):
+    """RoundReports equal field by field; params compared bit for bit
+    (dataclass == cannot compare arrays)."""
+    assert len(reports) == len(expected)
+    for a, b in zip(reports, expected):
+        assert a.round_index == b.round_index
+        assert a.participant_ids == b.participant_ids
+        assert a.train_loss == b.train_loss
+        assert np.array_equal(a.params.as_vector(), b.params.as_vector())
+
+
 def make_shards(n, k, seed=0, scheme="iid"):
     rng = Rng(seed)
     ds = data.make_synthetic(n, 0.2, 3.0, 4, rng)
@@ -116,6 +127,24 @@ class TestLocalUpdate:
         assert loss == mlp_loss(probs, ds.labels)
         assert np.array_equal(vec, mlp_backward(global_params, caches, ds.labels))
 
+    def test_fedavg_loss_pass_is_row_blocked(self, monkeypatch):
+        n = 2 * federated.LOSS_BLOCK_ROWS + 37
+        gen = np.random.default_rng(6)
+        shard = ClientShard(0, Dataset(gen.normal(size=(n, 4)), gen.integers(0, 2, n)))
+        params = init_mlp_params(4, (3,), Rng(6))
+        rows = []
+
+        def forward(p, x):
+            rows.append(len(x))
+            return mlp_forward(p, x)
+
+        monkeypatch.setattr(federated, "mlp_forward", forward)
+        vec, n_k, loss = local_update(shard, params, FEDAVG)
+        assert rows == [federated.LOSS_BLOCK_ROWS, federated.LOSS_BLOCK_ROWS, 37]
+        assert np.array_equal(vec, params.as_vector()) and n_k == n
+        whole = mlp_loss(mlp_forward(params, shard.data.features)[0], shard.data.labels)
+        assert loss == pytest.approx(whole, rel=1e-12)
+
     def test_local_loss_decreases_over_epochs(self):
         shards, _ = make_shards(300, 1, seed=4)
         hp = MlpHyperparams(hidden_sizes=(4,), learning_rate=0.1, batch_size=16,
@@ -167,10 +196,9 @@ class TestLocalUpdate:
             assert loss == ref_loss
 
         # run_round aggregates exactly these results, in client-id order.
-        [new_params], [report] = run_round([global_params], [shards], config,
-                                           [master], 5)
+        [report] = run_round([global_params], [shards], config, [master], 5)
         agg = aggregate([(vec, n_k) for vec, n_k, _ in expected])
-        assert np.array_equal(new_params.as_vector(), agg)
+        assert np.array_equal(report.params.as_vector(), agg)
         assert report.participant_ids == list(range(len(sizes)))
 
 
@@ -190,7 +218,7 @@ class TestRunRound:
         hp = MlpHyperparams(hidden_sizes=(4,), learning_rate=0.1, batch_size=16,
                             epochs=3)
         config = FedConfig(rounds=1, hyperparams=hp)
-        [(params, _)] = run_training([shards], [None], config, [2])
+        [(params, _)] = run_training([shards], config, [2])
 
         # Centralized SGD from the same init with the same derived stream.
         master = Rng(2)
@@ -207,13 +235,13 @@ class TestRunRound:
         config = FedConfig(rounds=1, aggregation_mode=FEDSGD, hyperparams=hp)
         master = Rng(k)
         global_params = init_mlp_params(4, (3,), master)
-        [new_params], _ = run_round([global_params], [shards], config, [master], 0)
+        [report] = run_round([global_params], [shards], config, [master], 0)
 
         pooled_grad = mlp_backward(global_params,
                                    mlp_forward(global_params, ds.features)[1],
                                    ds.labels)
         expected = global_params.as_vector() - 0.2 * pooled_grad
-        assert np.max(np.abs(new_params.as_vector() - expected)) <= 1e-12
+        assert np.max(np.abs(report.params.as_vector() - expected)) <= 1e-12
 
     def test_partial_participation_count(self):
         shards, _ = make_shards(200, 4, seed=1)
@@ -221,9 +249,9 @@ class TestRunRound:
                            hyperparams=MlpHyperparams(hidden_sizes=(3,), epochs=2))
         master = Rng(1)
         params = init_mlp_params(4, (3,), master)
-        _, [report] = run_round([params], [shards], config, [master], 0)
+        [report] = run_round([params], [shards], config, [master], 0)
         assert len(report.participant_ids) == 2
-        _, [report2] = run_round([params], [shards], config, [Rng(1)], 0)
+        [report2] = run_round([params], [shards], config, [Rng(1)], 0)
         assert report.participant_ids == report2.participant_ids
 
     def test_empty_shards_skipped_with_warning(self):
@@ -235,7 +263,7 @@ class TestRunRound:
         master = Rng(0)
         params = init_mlp_params(3, (2,), master)
         with pytest.warns(UserWarning, match="empty shard"):
-            _, [report] = run_round([params], [shards], config, [master], 0)
+            [report] = run_round([params], [shards], config, [master], 0)
         assert report.participant_ids == [0]
 
     def test_all_empty_is_round_error(self):
@@ -281,7 +309,7 @@ class TestRunTraining:
         shards, _ = make_shards(100, 2)
         config = FedConfig(rounds=0,
                            hyperparams=MlpHyperparams(hidden_sizes=(3,), epochs=2))
-        [(params, reports)] = run_training([shards], [None], config, [0])
+        [(params, reports)] = run_training([shards], config, [0])
         assert reports == []
         assert np.array_equal(params.as_vector(),
                               init_mlp_params(4, (3,), Rng(0)).as_vector())
@@ -293,34 +321,31 @@ class TestRunTraining:
         config = FedConfig(rounds=1, aggregation_mode=mode,
                            hyperparams=MlpHyperparams(hidden_sizes=(3,), epochs=2))
         with pytest.raises(ShapeError, match="input has 3 features, model expects 4"):
-            run_training([shards + [narrow]], [None], config, [0])
+            run_training([shards + [narrow]], config, [0])
 
     def test_loss_trend_on_separable_data(self):
         shards, _ = make_shards(600, 3, seed=6)
         hp = MlpHyperparams(hidden_sizes=(4,), learning_rate=0.1, batch_size=16,
                             epochs=2)
         config = FedConfig(rounds=8, hyperparams=hp)
-        [(_, reports)] = run_training([shards], [None], config, [6])
+        [(_, reports)] = run_training([shards], config, [6])
         assert reports[-1].train_loss < reports[0].train_loss
 
     def test_bit_identical_reports_under_seed(self):
         shards, ds = make_shards(300, 3, seed=7)
-        test = data.make_synthetic(100, 0.2, 3.0, 4, Rng(99))
         config = FedConfig(rounds=4,
                            hyperparams=MlpHyperparams(hidden_sizes=(3,), epochs=2))
-        [(p1, r1)] = run_training([shards], [test], config, [7])
-        [(p2, r2)] = run_training([shards], [test], config, [7])
+        [(p1, r1)] = run_training([shards], config, [7])
+        [(p2, r2)] = run_training([shards], config, [7])
         assert np.array_equal(p1.as_vector(), p2.as_vector())
-        for a, b in zip(r1, r2):
-            assert a.train_loss == b.train_loss
-            assert a.test_metrics == b.test_metrics
-            assert a.participant_ids == b.participant_ids
+        assert_same_reports(r1, r2)
+        assert np.array_equal(r1[-1].params.as_vector(), p1.as_vector())
 
     def test_weighted_loss_matches_participants(self):
         shards, _ = make_shards(200, 2, seed=9, scheme="quantity_skew")
         config = FedConfig(rounds=1,
                            hyperparams=MlpHyperparams(hidden_sizes=(3,), epochs=2))
-        [(_, reports)] = run_training([shards], [None], config, [9])
+        [(_, reports)] = run_training([shards], config, [9])
         assert np.isfinite(reports[0].train_loss)
 
 
@@ -340,36 +365,33 @@ class TestBatchedFederations:
                             batch_size=batch_size, epochs=2)
         config = FedConfig(rounds=2, participation=participation,
                            aggregation_mode=mode, hyperparams=hp)
-        shards, tests = [], []
-        for f in range(n_feds):
-            shards.append([ClientShard(cid, Dataset(gen.normal(size=(n, 3)),
-                                                    gen.integers(0, 2, n)))
-                           for cid, n in enumerate(sizes[f * k:(f + 1) * k])])
-            tests.append(Dataset(gen.normal(size=(12, 3)), np.arange(12) % 2))
+        shards = [[ClientShard(cid, Dataset(gen.normal(size=(n, 3)),
+                                            gen.integers(0, 2, n)))
+                   for cid, n in enumerate(sizes[f * k:(f + 1) * k])]
+                  for f in range(n_feds)]
         seeds = [seed + f for f in range(n_feds)]
 
-        together = run_training(shards, tests, config, seeds)
+        together = run_training(shards, config, seeds)
         assert len(together) == n_feds
         for f, (params, reports) in enumerate(together):
-            [(alone, alone_reports)] = run_training([shards[f]], [tests[f]],
-                                                    config, [seeds[f]])
+            [(alone, alone_reports)] = run_training([shards[f]], config, [seeds[f]])
             assert np.array_equal(params.as_vector(), alone.as_vector())
             assert np.array_equal(np.signbit(params.as_vector()),
                                   np.signbit(alone.as_vector()))
-            assert reports == alone_reports
+            assert_same_reports(reports, alone_reports)
 
     def test_two_seeds_give_different_params(self):
         shards, _ = make_shards(100, 2)
         config = FedConfig(rounds=1,
                            hyperparams=MlpHyperparams(hidden_sizes=(3,), epochs=2))
-        fits = run_training([shards, shards], [None, None], config, [0, 1])
+        fits = run_training([shards, shards], config, [0, 1])
         assert not np.array_equal(fits[0][0].as_vector(), fits[1][0].as_vector())
 
     @pytest.mark.parametrize("seeds", [[0], [0, 1, 2]])
     def test_seed_count_must_match_federations(self, seeds):
         shards, _ = make_shards(100, 2)
         with pytest.raises(DomainError, match="one seed"):
-            run_training([shards, shards], [None, None], FedConfig(), seeds)
+            run_training([shards, shards], FedConfig(), seeds)
 
 
 class TestPrivacyBoundary:
@@ -394,3 +416,14 @@ class TestPrivacyBoundary:
 
         sig = inspect.signature(aggregate)
         assert list(sig.parameters) == ["contributions"]
+
+
+class TestRoundLoopOnlyTrains:
+    def test_round_loop_takes_no_test_data_and_scores_nothing(self):
+        import inspect
+
+        # Scoring is the experimenter's job (experiments): the round loop
+        # is handed client shards only and has no metrics to compute.
+        assert not hasattr(federated, "metrics")
+        assert list(inspect.signature(run_training).parameters) == [
+            "shards", "config", "seeds"]

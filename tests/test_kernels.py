@@ -8,7 +8,39 @@ import pytest
 from fedfraud import kernels
 
 
+def masked_sigmoid(z):
+    """The boolean-mask branch form the kernel replaced: the bit-level
+    reference for kernels.sigmoid."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0.0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
 class TestSigmoid:
+    @pytest.mark.parametrize("shape", [(-1,), (5, 32, 1), "non-contiguous"])
+    def test_bit_identical_to_masked_form(self, shape):
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-320, -1e-320,
+                   709.8, -709.8, 745.2, -745.2]
+        z = np.concatenate([special, np.random.default_rng(3).normal(
+            scale=50.0, size=160 - len(special))])
+        if shape == "non-contiguous":
+            z = np.repeat(z, 2)[::2]
+            assert not z.flags.c_contiguous
+        else:
+            z = z.reshape(shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kernels.sigmoid(z)
+        want = masked_sigmoid(z)
+        assert got.shape == z.shape
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        ok = ~np.isnan(want)
+        assert np.array_equal(got[ok].view(np.int64), want[ok].view(np.int64))
+
     def test_zero_is_half(self):
         assert kernels.sigmoid(np.array([[0.0]]))[0, 0] == 0.5
 
