@@ -15,6 +15,16 @@ from .data import PARTITION_SCHEMES
 from .errors import ConfigError, DataError
 
 
+class _Parser(argparse.ArgumentParser):
+    """A bad flag is a config error (exit 1), as the same value in --config
+    is; subparsers inherit this class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        print(f"config error: {message}", file=sys.stderr)
+        sys.exit(1)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; flags override it")
     parser.add_argument("--data", help="input CSV path (default: synthetic data)")
@@ -23,7 +33,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fedfraud",
         description="Simulated federated training of fraud classifiers.",
     )
@@ -38,50 +48,40 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-sampling",
                        help="AUC vs sample count for each resampling ratio")
     _add_common(p)
-    p.add_argument("--repeats", type=int, help="seed repetitions per grid cell")
+    p.add_argument("--repeats", type=int, dest="sweep_repeats",
+                   help="seed repetitions per grid cell")
 
     p = sub.add_parser("fed-vs-central",
                        help="same MLP trained centrally and federatedly; "
                             "per-round series plus final metric deltas")
     _add_common(p)
-    p.add_argument("--scheme", choices=PARTITION_SCHEMES,
+    p.add_argument("--scheme", choices=PARTITION_SCHEMES, dest="partition_scheme",
                    help="client partition scheme")
 
     p = sub.add_parser("gen-synthetic",
                        help="emit a synthetic imbalanced CSV in the ingestion schema")
     _add_common(p)
-    p.add_argument("--n", type=int, help="number of rows")
-    p.add_argument("--fraud-fraction", type=float, help="expected fraud fraction")
-    p.add_argument("--separation", type=float, help="class cluster separation")
-    p.add_argument("--features", type=int, help="feature count")
+    p.add_argument("--n", type=int, dest="synthetic_n", help="number of rows")
+    p.add_argument("--fraud-fraction", type=float, dest="synthetic_fraud_fraction",
+                   help="expected fraud fraction")
+    p.add_argument("--separation", type=float, dest="synthetic_separation",
+                   help="class cluster separation")
+    p.add_argument("--features", type=int, dest="synthetic_features",
+                   help="feature count")
     p.add_argument("--output", required=True, help="CSV file to write")
 
     return parser
 
 
-def _overrides(args: argparse.Namespace) -> dict:
-    mapping = {"data": args.data, "seed": args.seed, "out": args.out}
-    if getattr(args, "ratio", None) is not None:
-        mapping["ratio"] = experiments.parse_ratio(args.ratio)
-    if getattr(args, "repeats", None) is not None:
-        mapping["sweep_repeats"] = args.repeats
-    if getattr(args, "scheme", None) is not None:
-        mapping["partition_scheme"] = args.scheme
-    if getattr(args, "n", None) is not None:
-        mapping["synthetic_n"] = args.n
-    if getattr(args, "fraud_fraction", None) is not None:
-        mapping["synthetic_fraud_fraction"] = args.fraud_fraction
-    if getattr(args, "separation", None) is not None:
-        mapping["synthetic_separation"] = args.separation
-    if getattr(args, "features", None) is not None:
-        mapping["synthetic_features"] = args.features
-    return mapping
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Every other flag's dest is the config field it overrides.
+    overrides = {k: v for k, v in vars(args).items()
+                 if k not in ("command", "config", "output")}
     try:
-        cfg = experiments.load_config(args.config, _overrides(args))
+        if overrides.get("ratio") is not None:
+            overrides["ratio"] = experiments.parse_ratio(overrides["ratio"])
+        cfg = experiments.load_config(args.config, overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -29,6 +29,9 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+BENCHMARK_MODELS = ("lr", "dt", "mlp_central", "mlp_fed")
+
+
 @dataclass
 class ExperimentConfig:
     data: str | None = None            # CSV path; None -> synthetic source
@@ -87,7 +90,7 @@ class ExperimentConfig:
                 parse_ratio(r)
         except ConfigError as exc:
             raise ConfigError(f"sweep_ratios: {exc} (of {self.sweep_ratios!r})") from None
-        if self.sweep_model not in ("lr", "dt", "mlp_central", "mlp_fed"):
+        if self.sweep_model not in BENCHMARK_MODELS:
             raise ConfigError(f"sweep_model: unknown model {self.sweep_model!r}")
         if self.partition_scheme not in datamod.PARTITION_SCHEMES:
             raise ConfigError(
@@ -227,6 +230,8 @@ def train_model(name: str, cfg: ExperimentConfig, cells):
     Each cell is partitioned as soon as it is drawn, so of a cell only its
     shards and test set stay held.
     """
+    if name not in BENCHMARK_MODELS:
+        raise ConfigError(f"unknown model {name!r}")
     if name == "mlp_fed":
         shards, tests, seeds = [], [], []
         for train, test, rng in cells:
@@ -240,11 +245,9 @@ def train_model(name: str, cfg: ExperimentConfig, cells):
         results = [(models.mlp_forward(params, test.features)[0], test.labels,
                     reports, params)
                    for (params, reports), test in zip(fits, tests, strict=True)]
-    elif name in ("lr", "dt", "mlp_central"):
+    else:
         results = [(_fit_central(name, train, cfg, rng).predict_proba(test.features),
                     test.labels, [], None) for train, test, rng in cells]
-    else:
-        raise ConfigError(f"unknown model {name!r}")
     for scores, *_ in results:
         _check_not_diverged(name, scores)
     return results
@@ -268,7 +271,7 @@ def _check_not_diverged(name: str, scores: np.ndarray) -> None:
     if bad:
         raise DomainError(f"{name}: {bad} of {scores.size} test scores are not "
                           "finite; the fit diverged (try a smaller learning_rate)")
-    if name in ("lr", "mlp_central", "mlp_fed") and np.ptp(scores) == 0:
+    if name != "dt" and np.ptp(scores) == 0:
         raise DomainError(f"{name}: every test score is {float(scores[0])!r}; the fit "
                           "diverged (try a smaller learning_rate)")
 
@@ -320,9 +323,6 @@ def _write_common(cfg: ExperimentConfig, out: str):
 
 
 # --- runners ----------------------------------------------------------------
-
-BENCHMARK_MODELS = ("lr", "dt", "mlp_central", "mlp_fed")
-
 
 def _run_models(cfg: ExperimentConfig, names, score_rounds: bool) -> list[dict]:
     """Train `names` (mlp_fed among them) on one shared split and write

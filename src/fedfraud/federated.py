@@ -139,19 +139,14 @@ def client_results(shards: list[list[ClientShard]],
     return results
 
 
-def select_participants(shards: list[ClientShard], config: FedConfig,
-                        master: Rng, round_idx: int) -> list[ClientShard]:
-    m = math.ceil(config.participation * len(shards))
-    rng = master.split("select", round_idx)
-    picked = rng.choice(len(shards), m)
-    chosen = sorted(int(i) for i in picked)
-    return [shards[i] for i in chosen]
-
-
 def _active_clients(shards: list[ClientShard], config: FedConfig, master: Rng,
                     round_idx: int) -> list[ClientShard]:
+    """The round's ceil(participation * K) sampled clients, in client order,
+    less any with an empty shard."""
+    m = math.ceil(config.participation * len(shards))
+    picked = master.split("select", round_idx).choice(len(shards), m)
     active = []
-    for s in select_participants(shards, config, master, round_idx):
+    for s in (shards[i] for i in sorted(picked)):
         if s.data.n_samples == 0:
             warnings.warn(f"client {s.client_id} has an empty shard; skipping")
             continue

@@ -1,8 +1,8 @@
 """Fraud classifiers: MLP trained by backprop/SGD, logistic regression
 (the same machinery with no hidden layers), and a CART decision tree.
 
-All three expose fit / predict_proba / predict; probabilities are fraud
-probabilities in (0,1) and predict(x, threshold) is 1 iff proba >= threshold.
+All three expose fit / predict_proba, which gives fraud probabilities in
+[0, 1]; turning them into labels at a threshold is metrics.confusion's job.
 
 The MLP has one forward body (_forward) and one backward body (_backward).
 Prediction and the FedSGD gradient (mlp_forward, mlp_backward) and every
@@ -13,6 +13,7 @@ FedAvg clients.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -101,9 +102,9 @@ def init_mlp_params(input_dim: int, hidden_sizes, rng: Rng) -> MlpParams:
 
 
 def _forward(weights, biases, x):
-    """The MLP forward pass: (activations, pre_acts), where activations[0]
-    is x, activations[i] is the input to layer i and activations[-1] the
-    sigmoid output, and pre_acts[i] is layer i's pre-activation.
+    """The MLP forward pass: its activations, where activations[0] is x,
+    activations[i] is the input to layer i (a hidden ReLU is done in place
+    on its matmul result) and activations[-1] is the sigmoid output.
 
     One model: x is (b, d), weights[i] is (fan_in, fan_out) and biases[i]
     is (fan_out,). A stack of K: x is (K, b, d), weights[i] is
@@ -111,22 +112,21 @@ def _forward(weights, biases, x):
     x[k]. A stacked matmul makes the same gemm call per entry as a 2-D one,
     so each stack entry is bit-identical to a one-model pass on its rows.
     """
-    activations, pre_acts = [x], []
+    activations = [x]
     last = len(weights) - 1
     for i, (w, b) in enumerate(zip(weights, biases)):
         z = activations[-1] @ w
         z += b[..., None, :]
-        pre_acts.append(z)
-        activations.append(kernels.sigmoid(z) if i == last else np.maximum(z, 0.0))
-    return activations, pre_acts
+        activations.append(kernels.sigmoid(z) if i == last else np.maximum(z, 0.0, out=z))
+    return activations
 
 
-def _backward(weights, activations, pre_acts, y):
+def _backward(weights, activations, y):
     """The MLP backward pass: (grads_w, grads_b) of the mean BCE loss over
-    the rows of y, in _forward's shapes. Reads the caches, never writes
-    them."""
+    the rows of y, in _forward's shapes. Reads the activations, never
+    writes them."""
     # Sigmoid + BCE collapse: dL/dz_out = (p - y) / rows. The subtraction
-    # makes a new array, so the in-place ops below leave the caches intact.
+    # makes a new array, so the in-place ops below leave the activations intact.
     delta = activations[-1] - y[..., None]
     delta /= y.shape[-1]
     grads_w = [None] * len(weights)
@@ -136,12 +136,13 @@ def _backward(weights, activations, pre_acts, y):
         grads_b[i] = delta.sum(axis=-2)
         if i > 0:
             delta = delta @ weights[i].mT
-            delta *= pre_acts[i - 1] > 0.0
+            # ReLU'(z) read off its output: max(z, 0) > 0 iff z > 0 (NaN, -0.0 too).
+            delta *= activations[i] > 0.0
     return grads_w, grads_b
 
 
 def mlp_forward(params: MlpParams, x: np.ndarray):
-    """Forward pass; returns (fraud probabilities, caches for backprop)."""
+    """Forward pass; returns (fraud probabilities, activations for mlp_backward)."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x.reshape(1, -1)
@@ -149,8 +150,8 @@ def mlp_forward(params: MlpParams, x: np.ndarray):
         raise ShapeError(
             f"input has {x.shape[1]} features, model expects {params.layer_sizes[0]}"
         )
-    activations, pre_acts = _forward(params.weights, params.biases, x)
-    return activations[-1][:, 0], (activations, pre_acts)
+    activations = _forward(params.weights, params.biases, x)
+    return activations[-1][:, 0], activations
 
 
 def mlp_loss(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -163,14 +164,13 @@ def mlp_loss(probs: np.ndarray, labels: np.ndarray) -> float:
     return float(-np.mean(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p)))
 
 
-def mlp_backward(params: MlpParams, caches, labels: np.ndarray) -> np.ndarray:
+def mlp_backward(params: MlpParams, activations, labels: np.ndarray) -> np.ndarray:
     """Exact gradient of the mean BCE loss, flattened in parameter order."""
-    activations, pre_acts = caches
     labels = np.asarray(labels, dtype=np.float64).ravel()
     n = activations[0].shape[0]
     if labels.size != n:
-        raise ShapeError(f"{labels.size} labels for a cache of {n} rows")
-    grads_w, grads_b = _backward(params.weights, activations, pre_acts, labels)
+        raise ShapeError(f"{labels.size} labels for activations of {n} rows")
+    grads_w, grads_b = _backward(params.weights, activations, labels)
     return MlpParams(params.layer_sizes, grads_w, grads_b).as_vector()
 
 
@@ -178,8 +178,7 @@ def sgd_step(weights, biases, x, y, lr) -> None:
     """One in-place mini-batch SGD step on a stack of K models: _forward and
     _backward on x (K, b, d) and y (K, b), then `-= lr * grad` on each
     weights[i] and biases[i]."""
-    activations, pre_acts = _forward(weights, biases, x)
-    grads_w, grads_b = _backward(weights, activations, pre_acts, y)
+    grads_w, grads_b = _backward(weights, _forward(weights, biases, x), y)
     for param, grad in zip((*weights, *biases), (*grads_w, *grads_b)):
         grad *= lr
         param -= grad
@@ -270,19 +269,13 @@ class MlpClassifier:
         probs, _ = mlp_forward(self.params, features)
         return probs
 
-    def predict(self, features: np.ndarray, threshold: float = 0.5) -> np.ndarray:
-        return (self.predict_proba(features) >= threshold).astype(np.intp)
-
 
 class LogisticRegression(MlpClassifier):
     """Linear map + sigmoid, trained by the same SGD machinery."""
 
     def __init__(self, hyperparams: MlpHyperparams | None = None):
-        hp = hyperparams or MlpHyperparams()
-        super().__init__(MlpHyperparams(hidden_sizes=(),
-                                        learning_rate=hp.learning_rate,
-                                        batch_size=hp.batch_size,
-                                        epochs=hp.epochs))
+        super().__init__(dataclasses.replace(hyperparams or MlpHyperparams(),
+                                             hidden_sizes=()))
 
 
 # --- decision tree ----------------------------------------------------------
@@ -375,9 +368,6 @@ class DecisionTree:
             go_left = X[rows, self.feature[at]] <= self.threshold[at]
             node[rows] = np.where(go_left, self.left[at], self.right[at])
         return self.proba[node]
-
-    def predict(self, features: np.ndarray, threshold: float = 0.5) -> np.ndarray:
-        return (self.predict_proba(features) >= threshold).astype(np.intp)
 
 
 # --- checkpoint format ------------------------------------------------------

@@ -300,6 +300,49 @@ class TestCli:
         assert field in err
         assert not (out / "config.json").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep-sampling", "--repeats", "1.5"], ["benchmark", "--seed", "abc"],
+        ["benchmark", "--no-such-flag", "1"], ["gen-synthetic"],
+    ], ids=["float_repeats", "bad_seed", "unknown_flag", "missing_output"])
+    def test_bad_flag_exit_one_before_writing(self, tmp_path, capsys, argv):
+        # A bad flag is a config error, as the same value in --config is.
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--out", str(out)])
+        assert exc.value.code == 1
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, field, value", [
+        (["benchmark", "--ratio", "1:3"], "ratio", (1, 3)),
+        (["benchmark", "--data", "in.csv"], "data", "in.csv"),
+        (["benchmark", "--seed", "4"], "seed", 4),
+        (["sweep-sampling", "--repeats", "2"], "sweep_repeats", 2),
+        (["fed-vs-central", "--scheme", "label_skew"], "partition_scheme", "label_skew"),
+        (["gen-synthetic", "--n", "123"], "synthetic_n", 123),
+        (["gen-synthetic", "--fraud-fraction", "0.05"], "synthetic_fraud_fraction", 0.05),
+        (["gen-synthetic", "--separation", "1.5"], "synthetic_separation", 1.5),
+        (["gen-synthetic", "--features", "7"], "synthetic_features", 7),
+    ])
+    def test_flag_sets_its_config_field(self, tmp_path, monkeypatch, argv, field, value):
+        runner, result = {
+            "benchmark": ("run_benchmark", []),
+            "sweep-sampling": ("run_sweep", []),
+            "fed-vs-central": ("run_fed_vs_central",
+                               {"central": {"auc": 0.5}, "federated": {"auc": 0.5},
+                                "auc_delta": 0.0}),
+            "gen-synthetic": ("run_gen_synthetic",
+                              experiments.load_source(ExperimentConfig(synthetic_n=10))),
+        }[argv[0]]
+        seen = []
+        monkeypatch.setattr(experiments, runner,
+                            lambda cfg, *rest: seen.append(cfg) or result)
+        extra = ["--output", str(tmp_path / "s.csv")] if argv[0] == "gen-synthetic" else []
+        out = str(tmp_path / "o")
+        assert cli.main([*argv, *extra, "--out", out]) == 0
+        [cfg] = seen
+        assert getattr(cfg, field) == value and cfg.out == out
+
     def test_data_error_exit_two(self, tmp_path, capsys):
         rc = cli.main(["benchmark", "--data", str(tmp_path / "missing.csv"),
                        "--out", str(tmp_path / "o")])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedfraud import models
+from fedfraud import metrics, models
 from fedfraud.data import Dataset, DatasetStack
 from fedfraud.errors import DomainError, ShapeError
 from fedfraud.models import (MlpHyperparams, MlpParams, init_mlp_params,
@@ -198,9 +198,8 @@ class TestBackward:
         params.biases[0][1] = 0.0
         X = np.random.default_rng(9).normal(size=(7, 5))
         y = np.array([0, 1, 1, 0, 1, 0, 0])
-        _, caches = mlp_forward(params, X)
-        assert np.all(caches[1][0][:, 1] == 0.0)
-        grad = mlp_backward(params, caches, y)
+        assert np.all((X @ params.weights[0] + params.biases[0])[:, 1] == 0.0)
+        grad = mlp_backward(params, mlp_forward(params, X)[1], y)
         np.testing.assert_allclose(grad, scalar_backward(params, X, y), rtol=1e-12)
         first = MlpParams.from_vector(params.layer_sizes, grad)
         assert np.all(first.weights[0][:, 1] == 0.0) and first.biases[0][1] == 0.0
@@ -342,8 +341,9 @@ class TestPredictContract:
         clf = models.MlpClassifier()
         clf.params = MlpParams((1, 1), [np.zeros((1, 1))], [np.zeros(1)])
         # proba is exactly 0.5 everywhere; >= threshold means predicted fraud
-        assert clf.predict(np.zeros((1, 1)), threshold=0.5)[0] == 1
-        assert clf.predict(np.zeros((1, 1)), threshold=0.5 + 1e-12)[0] == 0
+        probs = clf.predict_proba(np.zeros((1, 1)))
+        assert metrics.confusion(probs, [1], threshold=0.5).tp == 1
+        assert metrics.confusion(probs, [1], threshold=0.5 + 1e-12).fn == 1
 
     def test_proba_in_open_interval(self):
         clf = models.MlpClassifier(MlpHyperparams(epochs=3))
@@ -459,7 +459,7 @@ class TestDecisionTree:
         y = np.array([0, 0, 1, 1])
         tree = models.DecisionTree().fit(Dataset(X, y))
         assert 1.0 < tree.threshold[0] < 2.0
-        assert np.array_equal(tree.predict(X), y)
+        assert np.array_equal(tree.predict_proba(X) >= 0.5, y)
 
     def test_matches_enumeration_oracle(self):
         for seed in range(20):
@@ -482,7 +482,7 @@ class TestDecisionTree:
             X = rng.normal(size=(40, 4))
             y = (rng.uniform(size=40) > 0.6).astype(np.intp)
             tree = models.DecisionTree().fit(Dataset(X, y))
-            assert np.array_equal(tree.predict(X), y)
+            assert np.array_equal(tree.predict_proba(X) >= 0.5, y)
 
     def test_constant_features_become_leaf(self):
         ds = Dataset(np.ones((6, 2)), np.array([0, 1, 0, 1, 0, 1]))
