@@ -17,19 +17,16 @@ from .errors import ConfigError, DataError
 
 class _Parser(argparse.ArgumentParser):
     """A bad flag is a config error (exit 1), as the same value in --config
-    is; subparsers inherit this class."""
+    is; subparsers inherit this class. A flag must be spelled in full, so
+    gen-synthetic's --output is not also reachable as --out."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"config error: {message}", file=sys.stderr)
         sys.exit(1)
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file; flags override it")
-    parser.add_argument("--data", help="input CSV path (default: synthetic data)")
-    parser.add_argument("--seed", type=int, help="master random seed")
-    parser.add_argument("--out", help="output directory for report files")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -38,29 +35,33 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulated federated training of fraud classifiers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Every command takes --config and --seed; the three that train also
+    # read --data and write their reports to --out.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON config file; flags override it")
+    common.add_argument("--seed", type=int, help="master random seed")
+    trains = argparse.ArgumentParser(add_help=False, parents=[common])
+    trains.add_argument("--data", help="input CSV path (default: synthetic data)")
+    trains.add_argument("--out", help="output directory for report files")
 
-    p = sub.add_parser("benchmark",
+    p = sub.add_parser("benchmark", parents=[trains],
                        help="train LR, DT, centralized MLP, and federated MLP "
                             "on one shared split and report AUC/PR/RE/F1/ACC")
-    _add_common(p)
     p.add_argument("--ratio", help="fraud:legit resampling ratio, e.g. 1:1")
 
-    p = sub.add_parser("sweep-sampling",
+    p = sub.add_parser("sweep-sampling", parents=[trains],
                        help="AUC vs sample count for each resampling ratio")
-    _add_common(p)
     p.add_argument("--repeats", type=int, dest="sweep_repeats",
                    help="seed repetitions per grid cell")
 
-    p = sub.add_parser("fed-vs-central",
+    p = sub.add_parser("fed-vs-central", parents=[trains],
                        help="same MLP trained centrally and federatedly; "
                             "per-round series plus final metric deltas")
-    _add_common(p)
     p.add_argument("--scheme", choices=PARTITION_SCHEMES, dest="partition_scheme",
                    help="client partition scheme")
 
-    p = sub.add_parser("gen-synthetic",
+    p = sub.add_parser("gen-synthetic", parents=[common],
                        help="emit a synthetic imbalanced CSV in the ingestion schema")
-    _add_common(p)
     p.add_argument("--n", type=int, dest="synthetic_n", help="number of rows")
     p.add_argument("--fraud-fraction", type=float, dest="synthetic_fraud_fraction",
                    help="expected fraud fraction")

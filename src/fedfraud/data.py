@@ -87,15 +87,15 @@ class StandardizationParams:
     std: np.ndarray  # population std; zero entries mark constant columns
 
 
-def load_csv(path, label_column: str = DEFAULT_LABEL_COLUMN,
-             feature_columns=None) -> Dataset:
+def load_csv(path, label_column: str = DEFAULT_LABEL_COLUMN) -> Dataset:
     """Load a labeled CSV (header row, numeric cells, {0,1} label column).
+    The features are every other column, by position, as a view of the one
+    parsed table; a header that names a column twice is a DataError.
 
     The body is parsed in one np.loadtxt pass: cells may be quoted, blank
-    lines are skipped, '#' starts no comment, columns not selected are never
-    parsed and extra trailing cells are ignored. A rejected file is rescanned
-    so the DataError names its 1-based row (blank lines count). A file that
-    is not UTF-8 text is a DataError too.
+    lines are skipped, '#' starts no comment and extra trailing cells are
+    ignored. A rejected file is rescanned so the DataError names its 1-based
+    row (blank lines count). A file that is not UTF-8 text is a DataError too.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -104,15 +104,13 @@ def load_csv(path, label_column: str = DEFAULT_LABEL_COLUMN,
             except StopIteration:
                 raise DataError(f"{path}: empty file, expected a header row")
             header = [h.strip().strip('"') for h in header]
+            repeated = next((h for i, h in enumerate(header) if h in header[:i]), None)
+            if repeated is not None:
+                raise DataError(f"{path}: header names column {repeated!r} twice")
             if label_column not in header:
                 raise DataError(f"{path}: label column {label_column!r} not in header {header}")
-            if feature_columns is None:
-                feature_columns = [c for c in header if c != label_column]
-            missing = [c for c in feature_columns if c not in header]
-            if missing:
-                raise DataError(f"{path}: unknown feature columns {missing}")
-            feat_idx = [header.index(c) for c in feature_columns]
             label_idx = header.index(label_column)
+            feat_idx = [i for i in range(len(header)) if i != label_idx]
 
             try:
                 with warnings.catch_warnings():
@@ -128,12 +126,11 @@ def load_csv(path, label_column: str = DEFAULT_LABEL_COLUMN,
         bad = exc.object[exc.start:exc.start + 1]
         raise DataError(f"{path}: not UTF-8 text (cannot decode byte 0x{bad.hex()})") from exc
 
-    features = np.ascontiguousarray(table[:, :-1])
-    labels = table[:, -1]
+    features, labels = table[:, :-1], table[:, -1]
     if not (np.isfinite(features).all() and np.isin(labels, (0.0, 1.0)).all()):
         _raise_first_bad_row(path, feat_idx, label_idx)
         raise DataError(f"{path}: non-finite feature cell or label not 0 or 1")
-    return Dataset(features, labels.astype(np.intp), tuple(feature_columns))
+    return Dataset(features, labels.astype(np.intp), tuple(header[i] for i in feat_idx))
 
 
 def _cell_float(cell: str) -> float:

@@ -25,8 +25,30 @@ from .errors import ConfigError, DomainError
 from .numeric import Rng
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+_SCALAR_TYPES = {"int": int, "float": (int, float), "str": str}
+
+
+def _typed(name: str, annotation: str, value):
+    """`value` if it has the type that its field's annotation names, else a
+    ConfigError naming the field. A bool is not a number and an int is a
+    float; a list stands for a tuple, and is returned as one."""
+    kind, _, rest = annotation.partition(" | ")
+    if value is None and rest == "None":
+        return value
+    if kind.startswith("tuple["):  # tuple[T, ...] or tuple[T, T]
+        entry, _, arity = kind[len("tuple["):-1].partition(", ")
+        value = tuple(value) if isinstance(value, list) else value
+        ok = (isinstance(value, tuple) and all(_is_a(entry, v) for v in value)
+              and (arity == "..." or len(value) == kind.count(",") + 1))
+    else:
+        ok = _is_a(kind, value)
+    if not ok:
+        raise ConfigError(f"{name}: expected {annotation}, got {value!r}")
+    return value
+
+
+def _is_a(kind: str, value) -> bool:
+    return isinstance(value, _SCALAR_TYPES[kind]) and not isinstance(value, bool)
 
 
 BENCHMARK_MODELS = ("lr", "dt", "mlp_central", "mlp_fed")
@@ -70,21 +92,10 @@ class ExperimentConfig:
     sweep_model: str = "mlp_fed"
 
     def __post_init__(self):
-        # Integer fields and tuples of integers take ints only: no float,
-        # no bool, nothing int() would silently truncate.
+        # Every field takes only values of its annotated type: no float for
+        # an int, nothing int() or a comparison would silently misread.
         for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if f.type.startswith("tuple[int"):
-                value = tuple(value)
-                setattr(self, f.name, value)
-                if not all(_is_int(v) for v in value):
-                    raise ConfigError(f"{f.name}: entries must be integers, got {value!r}")
-            elif f.type.startswith("int") and not (
-                    _is_int(value) or (value is None and f.type == "int | None")):
-                raise ConfigError(f"{f.name}: must be an integer, got {value!r}")
-        self.sweep_ratios = tuple(self.sweep_ratios)
-        if len(self.ratio) != 2:
-            raise ConfigError(f"ratio: expected two parts, got {self.ratio}")
+            setattr(self, f.name, _typed(f.name, f.type, getattr(self, f.name)))
         try:
             for r in self.sweep_ratios:
                 parse_ratio(r)
@@ -178,10 +189,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> ExperimentCo
     unknown = sorted(set(values) - known)
     if unknown:
         raise ConfigError(f"unknown config fields: {', '.join(unknown)}")
-    try:
-        return ExperimentConfig(**values)
-    except (TypeError, DomainError) as exc:
-        raise ConfigError(str(exc))
+    return ExperimentConfig(**values)
 
 
 def config_echo(cfg: ExperimentConfig) -> str:
@@ -201,8 +209,9 @@ def load_source(cfg: ExperimentConfig) -> datamod.Dataset:
 
 
 def prepare_splits(ds: datamod.Dataset, cfg: ExperimentConfig, rng: Rng):
-    """Resample to the target ratio, split 80/20 stratified, standardize with
-    train statistics. Returns (train, test)."""
+    """Resample to the target ratio, hold out a stratified cfg.test_fraction
+    of the rows as the test set, standardize both with train statistics.
+    Returns (train, test)."""
     # The input and the resampled rows are dropped before standardizing, so
     # when the caller passes a temporary pool (run_sweep) only train and
     # test are held from then on.
@@ -257,7 +266,7 @@ def _fit_central(name: str, train: datamod.Dataset, cfg: ExperimentConfig, rng: 
     if name == "lr":
         return models.LogisticRegression(cfg.hyperparams()).fit(train, rng.split("lr"))
     if name == "dt":
-        return cfg.decision_tree().fit(train, rng.split("dt"))
+        return cfg.decision_tree().fit(train)
     return models.MlpClassifier(cfg.hyperparams()).fit(train, rng.split("mlp"))
 
 

@@ -141,16 +141,20 @@ def _backward(weights, activations, y):
     return grads_w, grads_b
 
 
+def _rows(features, n_features: int) -> np.ndarray:
+    """`features` as a float64 (rows, n_features) array, else ShapeError."""
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 2:
+        raise ShapeError(f"input must be a 2-D (rows, features) array, got shape {x.shape}")
+    if x.shape[1] != n_features:
+        raise ShapeError(f"input has {x.shape[1]} features, model expects {n_features}")
+    return x
+
+
 def mlp_forward(params: MlpParams, x: np.ndarray):
     """Forward pass; returns (fraud probabilities, activations for mlp_backward)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x.reshape(1, -1)
-    if x.shape[1] != params.layer_sizes[0]:
-        raise ShapeError(
-            f"input has {x.shape[1]} features, model expects {params.layer_sizes[0]}"
-        )
-    activations = _forward(params.weights, params.biases, x)
+    activations = _forward(params.weights, params.biases,
+                           _rows(x, params.layer_sizes[0]))
     return activations[-1][:, 0], activations
 
 
@@ -299,7 +303,7 @@ class DecisionTree:
         self.n_features: int | None = None
         self.feature = self.threshold = self.left = self.right = self.proba = None
 
-    def fit(self, train: Dataset, rng: Rng | None = None) -> "DecisionTree":
+    def fit(self, train: Dataset) -> "DecisionTree":
         """Grow the tree depth first from an explicit stack. Each feature is
         argsorted once at the root; a split partitions its node's (d, m)
         sorted row ids stably into the children's, which keeps each child's
@@ -353,12 +357,7 @@ class DecisionTree:
         """Walk all rows down together, one vectorized step per depth."""
         if self.proba is None:
             raise DomainError("model is not fitted")
-        X = np.asarray(features, dtype=np.float64)
-        if X.ndim == 1:
-            X = X.reshape(1, -1)
-        if X.shape[1] != self.n_features:
-            raise ShapeError(f"input has {X.shape[1]} features, model expects "
-                             f"{self.n_features}")
+        X = _rows(features, self.n_features)
         node = np.zeros(X.shape[0], dtype=np.intp)
         rows = np.arange(X.shape[0])
         while rows.size:

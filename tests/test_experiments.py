@@ -287,6 +287,8 @@ class TestCli:
         ("seed", -1), ("k_clients", 0), ("rounds", -1), ("local_epochs", 0),
         ("participation", 0.0), ("participation", 1.5), ("local_epochs", -1),
         ("dt_max_depth", -1), ("sweep_ratios", ("1:0",)),
+        ("threshold", "0.5"), ("participation", None), ("hidden_sizes", 16),
+        ("sweep_ratios", "1:1"), ("data", 5), ("label_column", 3),
     ])
     def test_bad_config_value_exit_one_before_writing(self, tmp_path, capsys,
                                                       field, value):
@@ -313,6 +315,15 @@ class TestCli:
         assert "config error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--data", "--out"])
+    def test_gen_synthetic_refuses_flags_it_does_not_read(self, tmp_path, capsys, flag):
+        csv_path = tmp_path / "s.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["gen-synthetic", "--output", str(csv_path), flag, str(tmp_path / "x")])
+        assert exc.value.code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not csv_path.exists() and not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("argv, field, value", [
         (["benchmark", "--ratio", "1:3"], "ratio", (1, 3)),
         (["benchmark", "--data", "in.csv"], "data", "in.csv"),
@@ -337,11 +348,13 @@ class TestCli:
         seen = []
         monkeypatch.setattr(experiments, runner,
                             lambda cfg, *rest: seen.append(cfg) or result)
-        extra = ["--output", str(tmp_path / "s.csv")] if argv[0] == "gen-synthetic" else []
         out = str(tmp_path / "o")
-        assert cli.main([*argv, *extra, "--out", out]) == 0
+        extra = (["--output", str(tmp_path / "s.csv")] if argv[0] == "gen-synthetic"
+                 else ["--out", out])
+        assert cli.main([*argv, *extra]) == 0
         [cfg] = seen
-        assert getattr(cfg, field) == value and cfg.out == out
+        assert getattr(cfg, field) == value
+        assert "--out" not in extra or cfg.out == out
 
     def test_data_error_exit_two(self, tmp_path, capsys):
         rc = cli.main(["benchmark", "--data", str(tmp_path / "missing.csv"),
@@ -412,7 +425,7 @@ class TestCli:
         cfg = _fast_cfg(tmp_path)
         csv_path = tmp_path / "synth.csv"
         assert cli.main(["gen-synthetic", "--seed", "3", "--config", cfg,
-                         "--output", str(csv_path), "--out", str(tmp_path / "g")]) == 0
+                         "--output", str(csv_path)]) == 0
         for name, extra in (("mem", []), ("csv", ["--data", str(csv_path)])):
             assert cli.main(["benchmark", "--seed", "3", "--config", cfg,
                              "--out", str(tmp_path / name), *extra]) == 0
@@ -443,8 +456,7 @@ class TestCli:
         for path in (a, b):
             rc = cli.main(["gen-synthetic", "--seed", "7", "--n", "500",
                            "--fraud-fraction", "0.1", "--features", "4",
-                           "--output", str(path),
-                           "--out", str(tmp_path / "o")])
+                           "--output", str(path)])
             assert rc == 0
         assert a.read_bytes() == b.read_bytes()
 
@@ -452,8 +464,7 @@ class TestCli:
         from fedfraud import data as datamod
         out = tmp_path / "synth.csv"
         cli.main(["gen-synthetic", "--seed", "1", "--n", "300",
-                  "--features", "3", "--output", str(out),
-                  "--out", str(tmp_path / "o")])
+                  "--features", "3", "--output", str(out)])
         ds = datamod.load_csv(out)
         assert ds.n_samples == 300
         assert ds.n_features == 3

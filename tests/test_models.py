@@ -135,6 +135,8 @@ class TestForward:
         params = init_mlp_params(5, (3,), Rng(0))
         with pytest.raises(ShapeError):
             mlp_forward(params, np.zeros((2, 4)))
+        with pytest.raises(ShapeError, match=r"2-D .* got shape \(5,\)"):
+            mlp_forward(params, np.zeros(5))
 
 
 class TestLoss:
@@ -533,6 +535,8 @@ class TestDecisionTree:
             with pytest.raises(ShapeError,
                                match=f"input has {width} features, model expects 2"):
                 tree.predict_proba(np.zeros((2, width)))
+        with pytest.raises(ShapeError, match=r"2-D .* got shape \(2,\)"):
+            tree.predict_proba(np.zeros(2))
 
 
 class TestCheckpoint:
