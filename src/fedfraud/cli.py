@@ -18,10 +18,18 @@ from .errors import ConfigError, DataError
 class _Parser(argparse.ArgumentParser):
     """A bad flag is a config error (exit 1), as the same value in --config
     is; subparsers inherit this class. A flag must be spelled in full, so
-    gen-synthetic's --output is not also reachable as --out."""
+    gen-synthetic's --output is not also reachable as --out. An unknown flag
+    is refused by the parser that read it, so a subcommand's error prints
+    that subcommand's usage line."""
 
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
     def error(self, message):
         self.print_usage(sys.stderr)

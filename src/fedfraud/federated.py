@@ -121,10 +121,8 @@ def client_results(shards: list[list[ClientShard]],
     # Entry pos starts from global_params[fed_of[pos]].
     fed_of = np.array([f for f, _, _ in entries])
     layer_sizes = global_params[0].layer_sizes
-    trained = MlpParams(
-        layer_sizes,
-        [np.stack(ws)[fed_of] for ws in zip(*(p.weights for p in global_params))],
-        [np.stack(bs)[fed_of] for bs in zip(*(p.biases for p in global_params))])
+    trained = MlpParams(layer_sizes, [np.stack(layer)[fed_of] for layer in
+                                      zip(*(p.layers for p in global_params))])
     round_rngs = [masters[f].split("client", s.client_id, "round", round_idx)
                   for f, _, s in entries]
     for e in range(config.hyperparams.epochs):
@@ -133,8 +131,7 @@ def client_results(shards: list[list[ClientShard]],
 
     results = [[None] * len(fed) for fed in shards]
     for pos, (f, k, s) in enumerate(entries):
-        local = MlpParams(layer_sizes, [w[pos] for w in trained.weights],
-                          [b[pos] for b in trained.biases])
+        local = MlpParams(layer_sizes, [layer[pos] for layer in trained.layers])
         results[f][k] = local_update(s, local, mode)
     return results
 

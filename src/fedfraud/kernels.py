@@ -10,7 +10,7 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     """
     z = np.asarray(z, dtype=np.float64)
     e = np.exp(-np.abs(z))             # exp(-z) for z >= 0, exp(z) below; <= 1
-    return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(z >= 0.0, 1.0, e) / (1.0 + e)
 
 
 # --- decision-tree split search ---------------------------------------------

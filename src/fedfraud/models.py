@@ -54,91 +54,88 @@ class MlpHyperparams:
 
 @dataclass
 class MlpParams:
-    """Per-layer weights/biases plus a flat-vector codec.
+    """One array per layer plus a flat-vector codec.
 
-    layer_sizes is (input_dim, hidden..., 1); weights[i] has shape
-    (layer_sizes[i], layer_sizes[i+1]).
+    layer_sizes is (input_dim, hidden..., 1); layers[i] has shape
+    (layer_sizes[i] + 1, layer_sizes[i+1]): the layer's weight rows, then
+    its bias row. The flat vector is the layers raveled in order, so it
+    holds each layer's weights row-major and then its biases.
     """
 
     layer_sizes: tuple[int, ...]
-    weights: list[np.ndarray] = field(default_factory=list)
-    biases: list[np.ndarray] = field(default_factory=list)
+    layers: list[np.ndarray] = field(default_factory=list)
 
     @property
     def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return sum(layer.size for layer in self.layers)
 
     def as_vector(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b.ravel())
-        return np.concatenate(parts)
+        return np.concatenate([layer.ravel() for layer in self.layers])
 
     @classmethod
     def from_vector(cls, layer_sizes, vec: np.ndarray) -> "MlpParams":
         layer_sizes = tuple(int(s) for s in layer_sizes)
         vec = np.asarray(vec, dtype=np.float64)
-        weights, biases, pos = [], [], 0
+        layers, pos = [], 0
         for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
-            weights.append(vec[pos:pos + fan_in * fan_out].reshape(fan_in, fan_out).copy())
-            pos += fan_in * fan_out
-            biases.append(vec[pos:pos + fan_out].copy())
-            pos += fan_out
+            size = (fan_in + 1) * fan_out
+            if pos + size <= vec.size:  # else the length check below refuses it
+                layers.append(vec[pos:pos + size].reshape(fan_in + 1, fan_out).copy())
+            pos += size
         if pos != vec.size:
             raise ShapeError(f"vector length {vec.size} != parameter count {pos}")
-        return cls(layer_sizes, weights, biases)
+        return cls(layer_sizes, layers)
 
 
 def init_mlp_params(input_dim: int, hidden_sizes, rng: Rng) -> MlpParams:
     """Uniform(-s, s) weights with s = sqrt(6/(fan_in+fan_out)); zero biases."""
     layer_sizes = (int(input_dim),) + tuple(int(h) for h in hidden_sizes) + (1,)
-    weights, biases = [], []
+    layers = []
     for i, (fan_in, fan_out) in enumerate(zip(layer_sizes, layer_sizes[1:])):
         s = math.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.split("init", i).uniform(-s, s, (fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return MlpParams(layer_sizes, weights, biases)
+        layers.append(np.vstack([rng.split("init", i).uniform(-s, s, (fan_in, fan_out)),
+                                 np.zeros((1, fan_out))]))
+    return MlpParams(layer_sizes, layers)
 
 
-def _forward(weights, biases, x):
+def _forward(layers, x):
     """The MLP forward pass: its activations, where activations[0] is x,
     activations[i] is the input to layer i (a hidden ReLU is done in place
     on its matmul result) and activations[-1] is the sigmoid output.
 
-    One model: x is (b, d), weights[i] is (fan_in, fan_out) and biases[i]
-    is (fan_out,). A stack of K: x is (K, b, d), weights[i] is
-    (K, fan_in, fan_out) and biases[i] is (K, fan_out); entry k sees only
-    x[k]. A stacked matmul makes the same gemm call per entry as a 2-D one,
-    so each stack entry is bit-identical to a one-model pass on its rows.
+    One model: x is (b, d) and layers[i] is (fan_in + 1, fan_out), weight
+    rows then bias row. A stack of K: x is (K, b, d) and layers[i] is
+    (K, fan_in + 1, fan_out); entry k sees only x[k]. A stacked matmul makes
+    the same gemm call per entry as a 2-D one, so each stack entry is
+    bit-identical to a one-model pass on its rows.
     """
     activations = [x]
-    last = len(weights) - 1
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        z = activations[-1] @ w
-        z += b[..., None, :]
+    last = len(layers) - 1
+    for i, layer in enumerate(layers):
+        z = activations[-1] @ layer[..., :-1, :]
+        z += layer[..., -1:, :]
         activations.append(kernels.sigmoid(z) if i == last else np.maximum(z, 0.0, out=z))
     return activations
 
 
-def _backward(weights, activations, y):
-    """The MLP backward pass: (grads_w, grads_b) of the mean BCE loss over
-    the rows of y, in _forward's shapes. Reads the activations, never
-    writes them."""
+def _backward(layers, activations, y):
+    """The MLP backward pass: the gradient of the mean BCE loss over the rows
+    of y, one array per layer in _forward's layout. Reads the activations,
+    never writes them."""
     # Sigmoid + BCE collapse: dL/dz_out = (p - y) / rows. The subtraction
     # makes a new array, so the in-place ops below leave the activations intact.
     delta = activations[-1] - y[..., None]
     delta /= y.shape[-1]
-    grads_w = [None] * len(weights)
-    grads_b = [None] * len(weights)
-    for i in range(len(weights) - 1, -1, -1):
-        grads_w[i] = activations[i].mT @ delta
-        grads_b[i] = delta.sum(axis=-2)
+    grads = [None] * len(layers)
+    for i in range(len(layers) - 1, -1, -1):
+        g = grads[i] = np.empty_like(layers[i])
+        np.matmul(activations[i].mT, delta, out=g[..., :-1, :])
+        delta.sum(axis=-2, out=g[..., -1, :])
         if i > 0:
-            delta = delta @ weights[i].mT
+            delta = delta @ layers[i][..., :-1, :].mT
             # ReLU'(z) read off its output: max(z, 0) > 0 iff z > 0 (NaN, -0.0 too).
             delta *= activations[i] > 0.0
-    return grads_w, grads_b
+    return grads
 
 
 def _rows(features, n_features: int) -> np.ndarray:
@@ -153,8 +150,7 @@ def _rows(features, n_features: int) -> np.ndarray:
 
 def mlp_forward(params: MlpParams, x: np.ndarray):
     """Forward pass; returns (fraud probabilities, activations for mlp_backward)."""
-    activations = _forward(params.weights, params.biases,
-                           _rows(x, params.layer_sizes[0]))
+    activations = _forward(params.layers, _rows(x, params.layer_sizes[0]))
     return activations[-1][:, 0], activations
 
 
@@ -174,28 +170,27 @@ def mlp_backward(params: MlpParams, activations, labels: np.ndarray) -> np.ndarr
     n = activations[0].shape[0]
     if labels.size != n:
         raise ShapeError(f"{labels.size} labels for activations of {n} rows")
-    grads_w, grads_b = _backward(params.weights, activations, labels)
-    return MlpParams(params.layer_sizes, grads_w, grads_b).as_vector()
+    return MlpParams(params.layer_sizes,
+                     _backward(params.layers, activations, labels)).as_vector()
 
 
-def sgd_step(weights, biases, x, y, lr) -> None:
+def sgd_step(layers, x, y, lr) -> None:
     """One in-place mini-batch SGD step on a stack of K models: _forward and
     _backward on x (K, b, d) and y (K, b), then `-= lr * grad` on each
-    weights[i] and biases[i]."""
-    grads_w, grads_b = _backward(weights, _forward(weights, biases, x), y)
-    for param, grad in zip((*weights, *biases), (*grads_w, *grads_b)):
+    layers[i]."""
+    for layer, grad in zip(layers, _backward(layers, _forward(layers, x), y)):
         grad *= lr
-        param -= grad
+        layer -= grad
 
 
 def sgd_epoch(params: MlpParams, ds: Dataset | DatasetStack, hp: MlpHyperparams,
               rng) -> None:
     """One epoch of mini-batch SGD (sgd_step) over a random permutation of
-    each member of a DatasetStack. Works in place on params.weights /
-    params.biases and returns nothing; `ds` is only read.
+    each member of a DatasetStack. Works in place on params.layers and
+    returns nothing; `ds` is only read.
 
-    For a stack of K members, params holds K-stacked weights and biases (as
-    sgd_step takes them) and `rng` is a sequence of K Rngs. Entry k trains
+    For a stack of K members, params holds K-stacked layers (as sgd_step
+    takes them) and `rng` is a sequence of K Rngs. Entry k trains
     on member k in the order of rng[k].permutation, and all entries train in
     lockstep: at each batch position one stacked sgd_step serves every
     member with the same batch size. A single Dataset with one model's
@@ -204,8 +199,7 @@ def sgd_epoch(params: MlpParams, ds: Dataset | DatasetStack, hp: MlpHyperparams,
     """
     if isinstance(ds, Dataset):
         ds, rng = DatasetStack((ds,)), [rng]
-        params = MlpParams(params.layer_sizes, [w[None] for w in params.weights],
-                           [b[None] for b in params.biases])
+        params = MlpParams(params.layer_sizes, [layer[None] for layer in params.layers])
     members = ds.members
     for member in members:
         if member.n_samples == 0:
@@ -213,10 +207,10 @@ def sgd_epoch(params: MlpParams, ds: Dataset | DatasetStack, hp: MlpHyperparams,
         if member.n_features != params.layer_sizes[0]:
             raise ShapeError(f"input has {member.n_features} features, model "
                              f"expects {params.layer_sizes[0]}")
-    if len(rng) != len(members) or params.weights[0].shape[0] != len(members):
+    if len(rng) != len(members) or params.layers[0].shape[0] != len(members):
         raise ShapeError(f"{len(members)} stack members need as many rngs and "
                          f"stacked models, got {len(rng)} and "
-                         f"{params.weights[0].shape[0]}")
+                         f"{params.layers[0].shape[0]}")
     features = [np.asarray(m.features, dtype=np.float64) for m in members]
     labels = [m.labels for m in members]
     sizes = [m.n_samples for m in members]
@@ -247,8 +241,7 @@ def sgd_epoch(params: MlpParams, ds: Dataset | DatasetStack, hp: MlpHyperparams,
             # on the params themselves: slicing every layer per step costs
             # a few percent of a central MLP fit.
             whole = hi - lo == len(members)
-            sgd_step(params.weights if whole else [w[lo:hi] for w in params.weights],
-                     params.biases if whole else [b[lo:hi] for b in params.biases],
+            sgd_step(params.layers if whole else [layer[lo:hi] for layer in params.layers],
                      x_block[lo:hi, offset:offset + size],
                      y_block[lo:hi, offset:offset + size], hp.learning_rate)
             lo = hi

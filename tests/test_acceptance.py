@@ -69,8 +69,8 @@ def test_01_gradient_correctness():
             probs, activations = mlp_forward(params, X)
             # Central differences are invalid across the ReLU kink; skip
             # draws whose hidden pre-activations sit within reach of 0.
-            if any(np.min(np.abs(a @ w + b)) < 1e-3 for a, w, b in
-                   zip(activations[:-2], params.weights, params.biases)):
+            if any(np.min(np.abs(a @ layer[:-1] + layer[-1])) < 1e-3 for a, layer in
+                   zip(activations[:-2], params.layers)):
                 continue
             grad = models.mlp_backward(params, activations, y)
             fd = finite_difference_gradient(params, X, y, step=1e-5)

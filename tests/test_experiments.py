@@ -312,7 +312,9 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli.main([*argv, "--out", str(out)])
         assert exc.value.code == 1
-        assert "config error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error:" in err
+        assert err.startswith(f"usage: fedfraud {argv[0]} ")
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--data", "--out"])
@@ -321,7 +323,10 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli.main(["gen-synthetic", "--output", str(csv_path), flag, str(tmp_path / "x")])
         assert exc.value.code == 1
-        assert "unrecognized arguments" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err
+        assert err.startswith("usage: fedfraud gen-synthetic ")
+        assert f"config error: unrecognized arguments: {flag} " in err
         assert not csv_path.exists() and not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("argv, field, value", [

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedfraud import metrics, models
+from fedfraud import kernels, metrics, models
 from fedfraud.data import Dataset, DatasetStack
 from fedfraud.errors import DomainError, ShapeError
 from fedfraud.models import (MlpHyperparams, MlpParams, init_mlp_params,
@@ -17,8 +17,9 @@ from fedfraud.numeric import Rng
 def scalar_forward(params, row):
     """Neuron-by-neuron oracle: plain Python loops, no matrix ops."""
     h = list(row)
-    last = len(params.weights) - 1
-    for layer, (w, b) in enumerate(zip(params.weights, params.biases)):
+    last = len(params.layers) - 1
+    for layer, block in enumerate(params.layers):
+        w, b = block[:-1], block[-1]
         out = []
         for j in range(w.shape[1]):
             z = b[j]
@@ -36,13 +37,15 @@ def scalar_backward(params, X, y):
     """Neuron-by-neuron oracle for mlp_backward: the mean BCE gradient summed
     row by row with plain Python loops, flattened as weights[0] (row-major),
     biases[0], weights[1], ... ReLU'(0) is taken as 0."""
-    last = len(params.weights) - 1
-    grads_w = [[[0.0] * w.shape[1] for _ in range(w.shape[0])] for w in params.weights]
-    grads_b = [[0.0] * b.shape[0] for b in params.biases]
+    last = len(params.layers) - 1
+    grads_w = [[[0.0] * block.shape[1] for _ in range(block.shape[0] - 1)]
+               for block in params.layers]
+    grads_b = [[0.0] * block.shape[1] for block in params.layers]
     for row, label in zip(X, y):
         inputs, pre_acts = [], []
         h = list(row)
-        for layer, (w, b) in enumerate(zip(params.weights, params.biases)):
+        for layer, block in enumerate(params.layers):
+            w, b = block[:-1], block[-1]
             inputs.append(h)
             z = []
             for j in range(w.shape[1]):
@@ -57,7 +60,7 @@ def scalar_backward(params, X, y):
                 h = [max(0.0, zj) for zj in z]
         delta = [(h[0] - label) / len(y)]
         for layer in range(last, -1, -1):
-            w = params.weights[layer]
+            w = params.layers[layer][:-1]
             for j in range(w.shape[1]):
                 grads_b[layer][j] += delta[j]
                 for i in range(w.shape[0]):
@@ -95,10 +98,10 @@ class TestMlpParams:
     def test_vector_round_trip(self, hidden):
         params = init_mlp_params(6, hidden, Rng(0))
         back = MlpParams.from_vector(params.layer_sizes, params.as_vector())
-        for w1, w2 in zip(params.weights, back.weights):
-            assert np.array_equal(w1, w2)
-        for b1, b2 in zip(params.biases, back.biases):
-            assert np.array_equal(b1, b2)
+        for w1, w2 in zip(params.layers, back.layers):
+            assert np.array_equal(w1[:-1], w2[:-1])
+        for b1, b2 in zip(params.layers, back.layers):
+            assert np.array_equal(b1[-1], b2[-1])
 
     def test_param_count(self):
         params = init_mlp_params(4, (3,), Rng(0))
@@ -106,20 +109,44 @@ class TestMlpParams:
         assert params.as_vector().size == params.n_params
 
     def test_wrong_vector_length(self):
-        with pytest.raises(ShapeError):
-            MlpParams.from_vector((2, 1), np.zeros(10))
+        for n in (0, 1, 2, 10):
+            with pytest.raises(ShapeError, match=f"vector length {n} != parameter count 3"):
+                MlpParams.from_vector((2, 1), np.zeros(n))
+
+    def test_vector_layout_is_pinned(self):
+        # The checkpoint format: each layer's uniform(-s, s) weight block,
+        # row-major, then its (zero) biases.
+        vec = init_mlp_params(3, (2,), Rng(0)).as_vector()
+        expected = np.array([
+            0.5295120456183282, 0.6939421742203045, -0.2141585447948422,
+            -0.18446052032753057, -0.985180284852395, -0.37533615036222134,
+            0.0, 0.0,
+            0.9451303198991468, 1.14816051266878,
+            0.0])
+        assert np.array_equal(vec, expected)
+        s0, s1 = math.sqrt(6.0 / 5.0), math.sqrt(6.0 / 3.0)
+        draws = np.concatenate([Rng(0).split("init", 0).uniform(-s0, s0, (3, 2)).ravel(),
+                                np.zeros(2),
+                                Rng(0).split("init", 1).uniform(-s1, s1, (2, 1)).ravel(),
+                                np.zeros(1)])
+        assert np.array_equal(draws, expected)
+
+    @pytest.mark.parametrize("hidden", [(), (3,), (16, 8)])
+    def test_layers_are_c_contiguous(self, hidden):
+        params = init_mlp_params(6, hidden, Rng(0))
+        back = MlpParams.from_vector(params.layer_sizes, params.as_vector())
+        for layer in params.layers + back.layers:
+            assert layer.flags.c_contiguous
 
 
 class TestForward:
     def test_zero_params_give_half(self):
-        params = MlpParams((3, 2, 1),
-                           [np.zeros((3, 2)), np.zeros((2, 1))],
-                           [np.zeros(2), np.zeros(1)])
+        params = MlpParams((3, 2, 1), [np.zeros((4, 2)), np.zeros((3, 1))])
         probs, _ = mlp_forward(params, np.random.default_rng(0).normal(size=(5, 3)))
         assert np.array_equal(probs, np.full(5, 0.5))
 
     def test_no_hidden_is_logistic_forward(self):
-        params = MlpParams((2, 1), [np.array([[1.0], [2.0]])], [np.array([0.5])])
+        params = MlpParams((2, 1), [np.array([[1.0], [2.0], [0.5]])])
         x = np.array([[1.0, 1.0]])
         probs, _ = mlp_forward(params, x)
         assert probs[0] == pytest.approx(1.0 / (1.0 + math.exp(-3.5)), abs=1e-15)
@@ -181,7 +208,8 @@ class TestBackward:
     def _biased_params(hidden):
         params = init_mlp_params(5, hidden, Rng(6))
         rng = np.random.default_rng(7)
-        params.biases = [rng.normal(size=b.shape) for b in params.biases]
+        for layer in params.layers:
+            layer[-1] = rng.normal(size=layer.shape[1:])
         return params
 
     @pytest.mark.parametrize("hidden", [(), (3,), (4, 2)])
@@ -196,22 +224,22 @@ class TestBackward:
         # Hidden unit 1 of the first layer has a zero weight column and a
         # zero bias, so its pre-activation is exactly 0 on every row.
         params = self._biased_params((4, 2))
-        params.weights[0][:, 1] = 0.0
-        params.biases[0][1] = 0.0
+        params.layers[0][:-1, 1] = 0.0
+        params.layers[0][-1, 1] = 0.0
         X = np.random.default_rng(9).normal(size=(7, 5))
         y = np.array([0, 1, 1, 0, 1, 0, 0])
-        assert np.all((X @ params.weights[0] + params.biases[0])[:, 1] == 0.0)
+        assert np.all((X @ params.layers[0][:-1] + params.layers[0][-1])[:, 1] == 0.0)
         grad = mlp_backward(params, mlp_forward(params, X)[1], y)
         np.testing.assert_allclose(grad, scalar_backward(params, X, y), rtol=1e-12)
         first = MlpParams.from_vector(params.layer_sizes, grad)
-        assert np.all(first.weights[0][:, 1] == 0.0) and first.biases[0][1] == 0.0
+        assert np.all(first.layers[0][:-1, 1] == 0.0) and first.layers[0][-1, 1] == 0.0
 
     def test_gradient_vanishes_at_analytic_minimum(self):
         # Symmetric 1-D data whose BCE minimum sits exactly at w=0, b=0.
         X = np.array([[1.0], [1.0], [-1.0], [-1.0]])
         y = np.array([1, 0, 0, 1])
         ds = Dataset(X, y)
-        params = MlpParams((1, 1), [np.zeros((1, 1))], [np.zeros(1)])
+        params = MlpParams((1, 1), [np.zeros((2, 1))])
         grad = mlp_backward(params, mlp_forward(params, ds.features)[1], ds.labels)
         assert np.linalg.norm(grad) <= 1e-6
 
@@ -226,10 +254,58 @@ def reference_sgd_epoch(params, ds, hp, rng):
         grad = mlp_backward(params, caches, batch.labels)
         vec = params.as_vector() - hp.learning_rate * grad
         updated = MlpParams.from_vector(params.layer_sizes, vec)
-        params.weights, params.biases = updated.weights, updated.biases
+        params.layers = updated.layers
+
+
+def two_array_sgd_step(weights, biases, x, y, lr):
+    """The SGD step of a model stored as two lists, weights[i] (K, fan_in,
+    fan_out) and biases[i] (K, fan_out): forward, backward and update
+    written out separately from models' own bodies."""
+    activations = [x]
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = activations[-1] @ w
+        z += b[..., None, :]
+        activations.append(kernels.sigmoid(z) if i == last else np.maximum(z, 0.0, out=z))
+    delta = activations[-1] - y[..., None]
+    delta /= y.shape[-1]
+    grads_w = [None] * len(weights)
+    grads_b = [None] * len(weights)
+    for i in range(len(weights) - 1, -1, -1):
+        grads_w[i] = activations[i].mT @ delta
+        grads_b[i] = delta.sum(axis=-2)
+        if i > 0:
+            delta = delta @ weights[i].mT
+            delta *= activations[i] > 0.0
+    for param, grad in zip((*weights, *biases), (*grads_w, *grads_b)):
+        grad *= lr
+        param -= grad
 
 
 class TestSgd:
+    @pytest.mark.parametrize("hidden", [(), (16, 8)])
+    @pytest.mark.parametrize("k", [1, 5, 25])
+    def test_step_bit_identical_to_two_array_step(self, hidden, k):
+        # 50 steps on prefixes of the stack, as sgd_epoch takes them: the
+        # width shrinks from k to 1, and one step in three is a ragged batch.
+        d = 30
+        layers = [np.stack(ls) for ls in zip(*(init_mlp_params(d, hidden, Rng(i)).layers
+                                               for i in range(k)))]
+        weights = [layer[:, :-1, :].copy() for layer in layers]
+        biases = [layer[:, -1, :].copy() for layer in layers]
+        gen = np.random.default_rng(12)
+        for step in range(50):
+            width = k - step * k // 50
+            rows = 7 if step % 3 == 2 else 32
+            x = gen.normal(size=(width, rows, d))
+            y = (gen.uniform(size=(width, rows)) < 0.3).astype(np.float64)
+            models.sgd_step([layer[:width] for layer in layers], x, y, 0.3)
+            two_array_sgd_step([w[:width] for w in weights], [b[:width] for b in biases],
+                               x, y, 0.3)
+            for layer, w, b in zip(layers, weights, biases):
+                assert np.array_equal(layer[:, :-1, :].view(np.int64), w.view(np.int64))
+                assert np.array_equal(layer[:, -1, :].view(np.int64), b.view(np.int64))
+
     def _toy(self):
         rng = Rng(11)
         X = rng.normal(0.0, 1.0, (64, 2))
@@ -289,8 +365,7 @@ class TestSgd:
             DatasetStack(())
         assert DatasetStack((ds, small)).n_samples == ds.n_samples + 5
         one = init_mlp_params(2, (3,), Rng(0))
-        stacked = MlpParams(one.layer_sizes, [np.stack([w, w]) for w in one.weights],
-                            [np.stack([b, b]) for b in one.biases])
+        stacked = MlpParams(one.layer_sizes, [np.stack([w, w]) for w in one.layers])
         hp = MlpHyperparams(hidden_sizes=(3,))
         with pytest.raises(ShapeError, match="2 stack members"):
             sgd_epoch(stacked, DatasetStack((ds, small)), hp, [Rng(1)])
@@ -315,7 +390,7 @@ class TestSgd:
 
 class TestLogisticRegression:
     def test_zero_weights_half(self):
-        params = MlpParams((2, 1), [np.zeros((2, 1))], [np.zeros(1)])
+        params = MlpParams((2, 1), [np.zeros((3, 1))])
         probs, _ = mlp_forward(params, np.ones((3, 2)))
         assert np.array_equal(probs, np.full(3, 0.5))
 
@@ -325,7 +400,7 @@ class TestLogisticRegression:
         clf = models.LogisticRegression(
             MlpHyperparams(learning_rate=0.5, batch_size=8, epochs=30))
         clf.fit(Dataset(X, y), Rng(0))
-        assert clf.params.weights[0][0, 0] > 0
+        assert clf.params.layers[0][0, 0] > 0
 
     def test_equals_mlp_without_hidden_layers(self):
         rng = Rng(5)
@@ -341,7 +416,7 @@ class TestLogisticRegression:
 class TestPredictContract:
     def test_threshold_boundary(self):
         clf = models.MlpClassifier()
-        clf.params = MlpParams((1, 1), [np.zeros((1, 1))], [np.zeros(1)])
+        clf.params = MlpParams((1, 1), [np.zeros((2, 1))])
         # proba is exactly 0.5 everywhere; >= threshold means predicted fraud
         probs = clf.predict_proba(np.zeros((1, 1)))
         assert metrics.confusion(probs, [1], threshold=0.5).tp == 1
