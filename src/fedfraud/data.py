@@ -236,12 +236,14 @@ def resample_ratio(ds: Dataset, fraud_to_legit: tuple[int, int], rng: Rng) -> Da
 
 
 def partition(train: Dataset, k: int, scheme: str, rng: Rng,
-              dirichlet_alpha: float = 0.5,
-              fraud_concentration: float = 0.8) -> list[ClientShard]:
-    """Partition rows into k disjoint client shards.
+              dirichlet_alpha: float = 0.5) -> list[ClientShard]:
+    """Partition rows into k disjoint, non-empty client shards.
 
-    Schemes: "iid" (near-equal random), "quantity_skew" (Dirichlet sizes),
-    "label_skew" (a fraction of fraud rows concentrated on ceil(k/2) shards).
+    Schemes: "iid" (near-equal random), "quantity_skew" (shard sizes drawn
+    from Dir_k(dirichlet_alpha)) and "label_skew" (each class's rows cut by
+    their own Dir_k(dirichlet_alpha) draw, on rng.split("class", c)). A
+    Dirichlet tail can leave a shard empty; once the scheme has cut, each
+    empty shard takes the last row of the largest one.
     """
     if k < 1:
         raise DomainError(f"client count must be >= 1, got {k}")
@@ -250,50 +252,31 @@ def partition(train: Dataset, k: int, scheme: str, rng: Rng,
 
     n = train.n_samples
     if scheme == "iid":
-        perm = rng.split("partition").permutation(n)
-        chunks = np.array_split(perm, k)
+        chunks = np.array_split(rng.split("partition").permutation(n), k)
     elif scheme == "quantity_skew":
-        perm = rng.split("partition").permutation(n)
-        props = rng.split("partition-sizes").dirichlet([dirichlet_alpha] * k)
-        cuts = np.floor(np.cumsum(props)[:-1] * n).astype(np.intp)
-        chunks = [np.asarray(c, dtype=np.intp) for c in np.split(perm, cuts)]
-        # Dirichlet tails can starve a shard; steal singletons from the largest.
-        for i, c in enumerate(chunks):
-            while chunks[i].size == 0:
-                j = int(np.argmax([ch.size for ch in chunks]))
-                chunks[i] = chunks[j][-1:]
-                chunks[j] = chunks[j][:-1]
+        chunks = _dirichlet_cut(np.arange(n), k, dirichlet_alpha, rng)
     elif scheme == "label_skew":
-        chunks = _label_skew_chunks(train, k, rng, fraud_concentration)
+        cuts = [_dirichlet_cut(np.flatnonzero(train.labels == c), k, dirichlet_alpha,
+                               rng.split("class", c)) for c in (0, 1)]
+        chunks = [np.concatenate(runs) for runs in zip(*cuts)]
     else:
         raise DomainError(f"unknown partition scheme {scheme!r}")
+    # Runs once, on the combined shards: a class may have fewer rows than k.
+    for i in range(k):
+        while chunks[i].size == 0:
+            j = int(np.argmax([c.size for c in chunks]))
+            chunks[i], chunks[j] = chunks[j][-1:], chunks[j][:-1]
 
     return [ClientShard(i, train.take(np.sort(c))) for i, c in enumerate(chunks)]
 
 
-def _label_skew_chunks(train: Dataset, k: int, rng: Rng, concentration: float):
-    fraud = np.flatnonzero(train.labels == 1)
-    legit = np.flatnonzero(train.labels == 0)
-    fraud = fraud[rng.split("partition-fraud").permutation(fraud.size)]
-    legit = legit[rng.split("partition-legit").permutation(legit.size)]
-
-    heavy = math.ceil(k / 2)
-    # With k = 1 there is no light shard to take the rest of the fraud rows.
-    n_heavy_fraud = int(round(concentration * fraud.size)) if k > heavy else fraud.size
-    heavy_fraud = np.array_split(fraud[:n_heavy_fraud], heavy)
-    light_fraud = np.array_split(fraud[n_heavy_fraud:], k - heavy) if k > heavy else []
-
-    chunks = [np.asarray(c, dtype=np.intp) for c in heavy_fraud + list(light_fraud)]
-    # Top up with legit rows so shard sizes stay near-equal. This places every
-    # legit row: sum(max(target - fraud, 0)) >= n - fraud.size = legit.size.
-    targets = [len(c) for c in np.array_split(np.arange(train.n_samples), k)]
-    pos = 0
-    for i in range(k):
-        need = max(targets[i] - chunks[i].size, 0)
-        need = min(need, legit.size - pos)
-        chunks[i] = np.concatenate([chunks[i], legit[pos:pos + need]])
-        pos += need
-    return chunks
+def _dirichlet_cut(rows: np.ndarray, k: int, alpha: float, rng: Rng) -> list[np.ndarray]:
+    """`rows`, permuted on rng.split("partition"), cut into k runs (some maybe
+    empty) at the proportions of one Dir_k(alpha) draw on
+    rng.split("partition-sizes")."""
+    rows = rows[rng.split("partition").permutation(rows.size)]
+    props = rng.split("partition-sizes").dirichlet([alpha] * k)
+    return np.split(rows, np.floor(np.cumsum(props)[:-1] * rows.size).astype(np.intp))
 
 
 def make_synthetic(n: int, fraud_fraction: float, separation: float,

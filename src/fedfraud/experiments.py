@@ -79,7 +79,6 @@ class ExperimentConfig:
     aggregation_mode: str = federated.FEDAVG
     partition_scheme: str = "iid"
     dirichlet_alpha: float = 0.5
-    fraud_concentration: float = 0.8
     # synthetic source (used when data is None and by gen-synthetic)
     synthetic_n: int = 20000
     synthetic_fraud_fraction: float = 0.1
@@ -121,8 +120,6 @@ class ExperimentConfig:
             ("threshold", 0.0 <= self.threshold <= 1.0, "must be in [0, 1]"),
             ("dirichlet_alpha", 0.0 < self.dirichlet_alpha < math.inf,
              "must be positive and finite"),
-            ("fraud_concentration", 0.0 <= self.fraud_concentration <= 1.0,
-             "must be in [0, 1]"),
             ("sweep_repeats", self.sweep_repeats >= 1, "must be >= 1"),
             ("sweep_sample_counts", all(n >= 1 for n in self.sweep_sample_counts),
              "must all be >= 1"),
@@ -246,8 +243,7 @@ def train_model(name: str, cfg: ExperimentConfig, cells):
         for train, test, rng in cells:
             shards.append(datamod.partition(
                 train, cfg.k_clients, cfg.partition_scheme,
-                rng.split("partition"), dirichlet_alpha=cfg.dirichlet_alpha,
-                fraud_concentration=cfg.fraud_concentration))
+                rng.split("partition"), dirichlet_alpha=cfg.dirichlet_alpha))
             tests.append(test)
             seeds.append(rng.seed)
         fits = federated.run_training(shards, cfg.fed_config(), seeds)
@@ -440,5 +436,8 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict]:
 
 def run_gen_synthetic(cfg: ExperimentConfig, path: str) -> datamod.Dataset:
     ds = load_source(dataclasses.replace(cfg, data=None))
+    if cfg.label_column in ds.feature_names:
+        raise ConfigError(f"label_column: {cfg.label_column!r} names a feature "
+                          "column of the synthetic data")
     datamod.write_csv(ds, path, label_column=cfg.label_column)
     return ds

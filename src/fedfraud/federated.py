@@ -24,7 +24,6 @@ another client's rows. Aggregation stays per federation.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,19 +137,11 @@ def client_results(shards: list[list[ClientShard]],
 
 def _active_clients(shards: list[ClientShard], config: FedConfig, master: Rng,
                     round_idx: int) -> list[ClientShard]:
-    """The round's ceil(participation * K) sampled clients, in client order,
-    less any with an empty shard."""
+    """The round's ceil(participation * K) clients, drawn without replacement
+    on master.split("select", round_idx), in client order."""
     m = math.ceil(config.participation * len(shards))
     picked = master.split("select", round_idx).choice(len(shards), m)
-    active = []
-    for s in (shards[i] for i in sorted(picked)):
-        if s.data.n_samples == 0:
-            warnings.warn(f"client {s.client_id} has an empty shard; skipping")
-            continue
-        active.append(s)
-    if not active:
-        raise DomainError(f"round {round_idx}: no clients with data")
-    return active
+    return [shards[i] for i in sorted(picked)]
 
 
 def _advance(global_params: MlpParams, active: list[ClientShard], results,
@@ -202,11 +193,15 @@ def run_training(shards: list[list[ClientShard]], config: FedConfig,
     federation alone.
 
     Returns one (final MlpParams, list of RoundReport) per federation; with
-    0 rounds the final params are the init.
+    0 rounds the final params are the init. An empty client shard is a
+    DomainError naming the client, before any round.
     """
     if not shards or len(seeds) != len(shards) or not all(shards):
         raise DomainError("run_training needs one seed and at least one shard "
                           "per federation")
+    empty = next((s for fed in shards for s in fed if s.data.n_samples == 0), None)
+    if empty is not None:
+        raise DomainError(f"client {empty.client_id} has an empty shard")
     masters = [Rng(seed) for seed in seeds]
     params = [init_mlp_params(fed[0].data.n_features,
                               config.hyperparams.hidden_sizes, master)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import tempfile
 import tracemalloc
 import warnings
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -353,38 +354,102 @@ class TestPartition:
     @settings(max_examples=60, deadline=None)
     @given(k=st.integers(1, 8), extra_rows=st.integers(0, 300),
            fraud_fraction=st.floats(0.0, 1.0),
-           dirichlet_alpha=st.floats(0.01, 100.0),
-           fraud_concentration=st.floats(0.0, 1.0), seed=st.integers(0, 2**16))
-    # One label_skew shard: no light shard takes the unconcentrated fraud rows.
-    @example(k=1, extra_rows=0, fraud_fraction=1.0, dirichlet_alpha=1.0,
-             fraud_concentration=0.0, seed=0)
+           dirichlet_alpha=st.floats(0.01, 100.0), seed=st.integers(0, 2**16))
+    # One label_skew shard and one empty class: the empty class's cut is k
+    # empty runs.
+    @example(k=1, extra_rows=0, fraud_fraction=1.0, dirichlet_alpha=1.0, seed=0)
+    # 3 fraud rows in 8 shards, and shards that only the refill fills.
+    @example(k=8, extra_rows=12, fraud_fraction=0.15, dirichlet_alpha=0.05, seed=3)
     def test_conservation_and_disjointness(self, scheme, k, extra_rows,
-                                           fraud_fraction, dirichlet_alpha,
-                                           fraud_concentration, seed):
+                                           fraud_fraction, dirichlet_alpha, seed):
         # Feature = original row index, so rows can be told apart.
         n = k + extra_rows
         labels = (np.random.default_rng(seed).uniform(size=n)
                   < fraud_fraction).astype(np.intp)
         ds = data.Dataset(np.arange(n, dtype=float).reshape(n, 1), labels)
         shards = data.partition(ds, k, scheme, Rng(seed),
-                                dirichlet_alpha=dirichlet_alpha,
-                                fraud_concentration=fraud_concentration)
+                                dirichlet_alpha=dirichlet_alpha)
         assert [s.client_id for s in shards] == list(range(k))
         rows = np.concatenate([s.data.features[:, 0] for s in shards]).astype(np.intp)
         assert np.array_equal(np.sort(rows), np.arange(n))
         for s in shards:
             assert np.array_equal(s.data.labels,
                                   labels[s.data.features[:, 0].astype(np.intp)])
-            if scheme != "label_skew":
-                assert s.data.n_samples > 0
+            assert s.data.n_samples > 0
 
-    def test_label_skew_concentrates_fraud(self):
-        rng = Rng(1)
-        ds = data.make_synthetic(1000, 0.2, 1.0, 3, rng)
-        shards = data.partition(ds, 4, "label_skew", rng.split("p"),
-                                fraud_concentration=0.8)
-        heavy_fraud = sum(s.data.fraud_count for s in shards[:2])
-        assert heavy_fraud >= 0.75 * ds.fraud_count
+    @settings(max_examples=100, deadline=None)
+    @given(k=st.integers(1, 8), extra_rows=st.integers(0, 300),
+           fraud_fraction=st.floats(0.0, 1.0),
+           dirichlet_alpha=st.floats(0.01, 100.0), seed=st.integers(0, 2**16))
+    def test_label_skew_shard_is_its_run_of_each_class_cut(
+            self, k, extra_rows, fraud_fraction, dirichlet_alpha, seed):
+        # Each class's rows, permuted and cut at the cumulative proportions
+        # of one Dir_k(alpha) draw, recomputed from the partition's splits.
+        n = k + extra_rows
+        labels = (np.random.default_rng(seed).uniform(size=n)
+                  < fraud_fraction).astype(np.intp)
+        runs = []
+        for c in (0, 1):
+            rng = Rng(seed).split("class", c)
+            rows = np.flatnonzero(labels == c)
+            rows = rows[rng.split("partition").permutation(rows.size)]
+            props = rng.split("partition-sizes").dirichlet([dirichlet_alpha] * k)
+            ends = [0, *np.floor(np.cumsum(props)[:-1] * rows.size).astype(int),
+                    rows.size]
+            runs.append([np.sort(rows[ends[i]:ends[i + 1]]) for i in range(k)])
+        assume(all(runs[0][i].size + runs[1][i].size for i in range(k)))
+
+        ds = data.Dataset(np.arange(n, dtype=float).reshape(n, 1), labels)
+        shards = data.partition(ds, k, "label_skew", Rng(seed),
+                                dirichlet_alpha=dirichlet_alpha)
+        for i, s in enumerate(shards):
+            rows = s.data.features[:, 0].astype(np.intp)
+            for c in (0, 1):
+                assert np.array_equal(rows[s.data.labels == c], runs[c][i])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_label_skew_spread_follows_alpha(self, seed):
+        labels = (np.arange(5000) % 5 == 0).astype(np.intp)  # 20 % fraud
+        ds = data.Dataset(np.zeros((5000, 1)), labels)
+
+        def fraud_shares(alpha):
+            return [s.data.fraud_count / s.data.n_samples for s in
+                    data.partition(ds, 5, "label_skew", Rng(seed), dirichlet_alpha=alpha)]
+
+        skewed = fraud_shares(0.05)
+        assert max(skewed) - min(skewed) > 0.5
+        assert all(abs(share - 0.2) < 0.02 for share in fraud_shares(1e4))
+
+    # SHA-256 of each shard's size and sorted row ids, shard by shard. These
+    # streams feed the iid and quantity_skew runs (the 16 000-row, 50-client
+    # case is shaped like a 1:1 train split of fed-many-clients), so they
+    # must not move when partition's code does. The 200-row, 20-client case
+    # needs the empty-shard refill.
+    @pytest.mark.parametrize("scheme, n, k, alpha, seed, digest", [
+        ("iid", 37, 4, 0.5, 0,
+         "24c1b8e72db70ae7e00ddbf5440fa279a5a5e6d0e13ee858bf55a23d06927764"),
+        ("iid", 1000, 5, 0.5, 1,
+         "cbee5c0b1fb4c6bbc178d30617b784d3d81b177a783fc07011569800979f1036"),
+        ("iid", 16_000, 50, 0.5, 1,
+         "e4e032192959ffc2482bacd5631af81015ed5fdc42a1f22b5867a3b3cf82256a"),
+        ("quantity_skew", 1000, 5, 0.5, 1,
+         "1fb0ed5aadd0c3866d68bffc12eb93b2ba181aaacd74675b7762148e96c0a384"),
+        ("quantity_skew", 500, 3, 100.0, 2,
+         "e96eef2c673adcd94481092205ef3a03a2c8a8ea4c042b217289b28f13ff0a32"),
+        ("quantity_skew", 200, 20, 0.05, 3,
+         "6bb07d3eb09c2ff95dbc87a05a4d4646417013b2be39999d99e3315f4f5dac17"),
+        ("quantity_skew", 16_000, 50, 0.5, 1,
+         "af24978ee50a0ed234424535a726335896178f7c88fe7861276cea4731423294"),
+    ])
+    def test_iid_and_quantity_skew_streams_pinned(self, scheme, n, k, alpha, seed,
+                                                  digest):
+        labels = (np.arange(n) % 7 == 0).astype(np.intp)
+        ds = data.Dataset(np.arange(n, dtype=float).reshape(n, 1), labels)
+        h = hashlib.sha256()
+        for s in data.partition(ds, k, scheme, Rng(seed), dirichlet_alpha=alpha):
+            rows = np.sort(s.data.features[:, 0]).astype("<i8")
+            h.update(len(rows).to_bytes(8, "little") + rows.tobytes())
+        assert h.hexdigest() == digest
 
     def test_too_many_clients(self, imbalanced):
         with pytest.raises(DomainError):

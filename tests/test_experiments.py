@@ -265,17 +265,23 @@ class TestCli:
         assert "mlp_fed" in capsys.readouterr().out
 
     def test_config_error_exit_one(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"no_such_field": 1}')
-        rc = cli.main(["benchmark", "--config", str(bad)])
-        assert rc == 1
+        # fraud_concentration was label_skew's own knob; label_skew now cuts
+        # each class by dirichlet_alpha, and a config still holding it is refused.
+        for config in ('{"no_such_field": 1}', '{"fraud_concentration": 0.8}'):
+            bad = tmp_path / "bad.json"
+            bad.write_text(config)
+            out = tmp_path / "o"
+            rc = cli.main(["benchmark", "--config", str(bad), "--out", str(out)])
+            assert rc == 1
+            assert "unknown config fields" in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize("field, value", [
         ("learning_rate", -1), ("partition_scheme", "bogus"),
         ("aggregation_mode", "bogus"), ("batch_size", 0),
         ("learning_rate", float("nan")), ("learning_rate", float("inf")),
         ("epochs", -3), ("test_fraction", 1.5), ("threshold", float("nan")),
-        ("dirichlet_alpha", -1), ("fraud_concentration", 2.0),
+        ("dirichlet_alpha", -1), ("dirichlet_alpha", float("inf")),
         ("dt_min_samples_leaf", 0), ("sweep_repeats", 0),
         ("sweep_sample_counts", (0,)), ("synthetic_n", 0),
         ("synthetic_features", 0), ("synthetic_fraud_fraction", 1.5),
@@ -464,6 +470,17 @@ class TestCli:
                            "--output", str(path)])
             assert rc == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_gen_synthetic_refuses_label_column_naming_a_feature(self, tmp_path,
+                                                                 capsys):
+        # Its header would name V1 twice, which load_csv refuses.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"label_column": "V1", "synthetic_n": 50}')
+        out = tmp_path / "s.csv"
+        rc = cli.main(["gen-synthetic", "--config", str(cfg), "--output", str(out)])
+        assert rc == 1
+        assert "config error: label_column: 'V1'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_gen_synthetic_loads_back(self, tmp_path):
         from fedfraud import data as datamod

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -254,28 +256,22 @@ class TestRunRound:
         [report2] = run_round([params], [shards], config, [Rng(1)], 0)
         assert report.participant_ids == report2.participant_ids
 
-    def test_empty_shards_skipped_with_warning(self):
+    @pytest.mark.parametrize("mode", [FEDAVG, FEDSGD])
+    def test_empty_shard_refused_before_round_zero(self, monkeypatch, mode):
         ds = data.make_synthetic(50, 0.3, 2.0, 3, Rng(0))
         empty = Dataset(np.empty((0, 3)), np.empty(0, dtype=np.intp))
         shards = [ClientShard(0, ds), ClientShard(1, empty)]
-        config = FedConfig(rounds=1,
+        config = FedConfig(rounds=1, aggregation_mode=mode,
                            hyperparams=MlpHyperparams(hidden_sizes=(2,), epochs=2))
-        master = Rng(0)
-        params = init_mlp_params(3, (2,), master)
-        with pytest.warns(UserWarning, match="empty shard"):
-            [report] = run_round([params], [shards], config, [master], 0)
-        assert report.participant_ids == [0]
 
-    def test_all_empty_is_round_error(self):
-        empty = Dataset(np.empty((0, 3)), np.empty(0, dtype=np.intp))
-        shards = [ClientShard(0, empty)]
-        config = FedConfig(rounds=1,
-                           hyperparams=MlpHyperparams(hidden_sizes=(2,), epochs=2))
-        master = Rng(0)
-        params = init_mlp_params(3, (2,), master)
-        with pytest.warns(UserWarning):
-            with pytest.raises(DomainError):
-                run_round([params], [shards], config, [master], 0)
+        def no_round(*args):
+            raise AssertionError("a round ran")
+
+        monkeypatch.setattr(federated, "run_round", no_round)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="client 1 has an empty shard"):
+                run_training([shards], config, [0])
 
     @pytest.mark.parametrize("poison", ["update", "loss"])
     def test_non_finite_client_result_names_round_and_client(self, monkeypatch,
