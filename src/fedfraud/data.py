@@ -1,7 +1,7 @@
 """Dataset loading, standardization, splitting, resampling, partitioning.
 
-All transformations are pure: they return new Dataset objects and never
-mutate their inputs. Everything that draws randomness takes an explicit Rng.
+Splitting and resampling return row ids, the rest new Datasets; nothing
+mutates its input. Everything that draws randomness takes an explicit Rng.
 """
 
 from __future__ import annotations
@@ -81,12 +81,6 @@ class ClientShard:
     data: Dataset
 
 
-@dataclass(frozen=True)
-class StandardizationParams:
-    mean: np.ndarray
-    std: np.ndarray  # population std; zero entries mark constant columns
-
-
 def load_csv(path, label_column: str = DEFAULT_LABEL_COLUMN) -> Dataset:
     """Load a labeled CSV (header row, numeric cells, {0,1} label column).
     The features are every other column, by position, as a view of the one
@@ -95,10 +89,11 @@ def load_csv(path, label_column: str = DEFAULT_LABEL_COLUMN) -> Dataset:
     The body is parsed in one np.loadtxt pass: cells may be quoted, blank
     lines are skipped, '#' starts no comment and extra trailing cells are
     ignored. A rejected file is rescanned so the DataError names its 1-based
-    row (blank lines count). A file that is not UTF-8 text is a DataError too.
+    row (blank lines count). The file is UTF-8 text, after an optional
+    byte-order mark; any other file is a DataError too.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             try:
                 header = next(csv.reader(fh))
             except StopIteration:
@@ -144,7 +139,7 @@ def _cell_float(cell: str) -> float:
 def _raise_first_bad_row(path, feat_idx: list[int], label_idx: int) -> None:
     """Rescan a file the fast parse rejected; raise DataError naming the
     first bad row. Returns only if every row passes."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         next(reader)
         for row_no, row in enumerate(reader, start=2):
@@ -175,41 +170,51 @@ def write_csv(ds: Dataset, path, label_column: str = DEFAULT_LABEL_COLUMN) -> No
             writer.writerow([repr(float(v)) for v in row] + [int(lab)])
 
 
-def fit_standardizer(train: Dataset) -> StandardizationParams:
+def standardize(train: Dataset, *others: Dataset) -> tuple[Dataset, ...]:
+    """`train`, then each of `others`, as new Datasets with every feature
+    column centred on train's mean and divided by train's population std (a
+    constant column is only centred)."""
     if train.n_samples == 0:
         raise DomainError("cannot fit standardizer on an empty dataset")
     mean = train.features.mean(axis=0)
     std = train.features.std(axis=0)  # population formula
-    return StandardizationParams(mean, std)
+    denom = np.where(std > 0.0, std, 1.0)
+    out = []
+    for ds in (train, *others):
+        features = ds.features - mean
+        features /= denom
+        out.append(Dataset(features, ds.labels, ds.feature_names))
+    return tuple(out)
 
 
-def apply_standardizer(params: StandardizationParams, ds: Dataset) -> Dataset:
-    denom = np.where(params.std > 0.0, params.std, 1.0)
-    out = ds.features - params.mean
-    out /= denom
-    return Dataset(out, ds.labels, ds.feature_names)
+def stratified_draw(labels: np.ndarray, count, rng: Rng) -> np.ndarray:
+    """Sorted row ids: for each class c (0, then 1) of the n_c rows labelled
+    c, the first count(n_c) of them in rng.split(c).permutation order."""
+    drawn = []
+    for cls in (0, 1):
+        rows = np.flatnonzero(labels == cls)
+        drawn.append(rows[rng.split(cls).permutation(rows.size)][:count(rows.size)])
+    return np.sort(np.concatenate(drawn))
 
 
-def stratified_split(ds: Dataset, test_fraction: float, rng: Rng):
-    """Split into (train, test) preserving per-class proportions within ±1."""
+def stratified_split(labels: np.ndarray, test_fraction: float, rng: Rng):
+    """Row ids (train, test), each sorted; test holds round(test_fraction·n_c)
+    of the n_c rows of each class c, drawn by stratified_draw on
+    rng.split("split"), so per-class proportions hold within ±1."""
     if not 0.0 < test_fraction < 1.0:
         raise DomainError(f"test_fraction must be in (0,1), got {test_fraction}")
-    test_idx = []
-    for cls in (0, 1):
-        cls_idx = np.flatnonzero(ds.labels == cls)
-        if cls_idx.size == 0:
-            raise DomainError(f"class {cls} has no samples, cannot stratify")
-        perm = cls_idx[rng.split("split", cls).permutation(cls_idx.size)]
-        n_test = int(round(test_fraction * cls_idx.size))
-        test_idx.append(perm[:n_test])
-    test_idx = np.sort(np.concatenate(test_idx))
-    mask = np.ones(ds.n_samples, dtype=bool)
-    mask[test_idx] = False
-    return ds.take(np.flatnonzero(mask)), ds.take(test_idx)
+    class_counts = np.bincount(labels, minlength=2)
+    if class_counts.min() == 0:
+        raise DomainError(f"class {np.argmin(class_counts)} has no samples, cannot stratify")
+    test = stratified_draw(labels, lambda n_c: int(round(test_fraction * n_c)),
+                           rng.split("split"))
+    return np.delete(np.arange(labels.size), test), test
 
 
-def resample_ratio(ds: Dataset, fraud_to_legit: tuple[int, int], rng: Rng) -> Dataset:
-    """Undersample the majority class to a fraud:legit target ratio.
+def resample_ratio(labels: np.ndarray, fraud_to_legit: tuple[int, int],
+                   rng: Rng) -> np.ndarray:
+    """Row ids that undersample the majority class to a fraud:legit target
+    ratio, in shuffled order.
 
     All fraud rows are kept; legit rows are drawn uniformly without
     replacement, capped at what is available.
@@ -217,8 +222,8 @@ def resample_ratio(ds: Dataset, fraud_to_legit: tuple[int, int], rng: Rng) -> Da
     fraud_part, legit_part = fraud_to_legit
     if fraud_part <= 0 or legit_part <= 0:
         raise DomainError(f"ratio parts must be positive, got {fraud_to_legit}")
-    fraud_idx = np.flatnonzero(ds.labels == 1)
-    legit_idx = np.flatnonzero(ds.labels == 0)
+    fraud_idx = np.flatnonzero(labels == 1)
+    legit_idx = np.flatnonzero(labels == 0)
     if fraud_idx.size == 0:
         raise DomainError("resample_ratio requires at least one fraud sample")
     want_legit = int(round(fraud_idx.size * legit_part / fraud_part))
@@ -231,8 +236,7 @@ def resample_ratio(ds: Dataset, fraud_to_legit: tuple[int, int], rng: Rng) -> Da
     else:
         keep_legit = legit_idx[rng.split("resample").choice(legit_idx.size, want_legit)]
     idx = np.concatenate([fraud_idx, keep_legit])
-    idx = idx[rng.split("resample-shuffle").permutation(idx.size)]
-    return ds.take(idx)
+    return idx[rng.split("resample-shuffle").permutation(idx.size)]
 
 
 def partition(train: Dataset, k: int, scheme: str, rng: Rng,

@@ -51,6 +51,10 @@ def _is_a(kind: str, value) -> bool:
     return isinstance(value, _SCALAR_TYPES[kind]) and not isinstance(value, bool)
 
 
+def _distinct(values) -> bool:
+    return 0 < len(set(values)) == len(values)
+
+
 BENCHMARK_MODELS = ("lr", "dt", "mlp_central", "mlp_fed")
 
 
@@ -96,8 +100,7 @@ class ExperimentConfig:
         for f in dataclasses.fields(self):
             setattr(self, f.name, _typed(f.name, f.type, getattr(self, f.name)))
         try:
-            for r in self.sweep_ratios:
-                parse_ratio(r)
+            ratios = [parse_ratio(r) for r in self.sweep_ratios]
         except ConfigError as exc:
             raise ConfigError(f"sweep_ratios: {exc} (of {self.sweep_ratios!r})") from None
         if self.sweep_model not in BENCHMARK_MODELS:
@@ -123,6 +126,10 @@ class ExperimentConfig:
             ("sweep_repeats", self.sweep_repeats >= 1, "must be >= 1"),
             ("sweep_sample_counts", all(n >= 1 for n in self.sweep_sample_counts),
              "must all be >= 1"),
+            # A sweep.csv row is keyed by (sample_count, ratio, seed).
+            ("sweep_sample_counts", _distinct(self.sweep_sample_counts),
+             "must be non-empty with no count repeated"),
+            ("sweep_ratios", _distinct(ratios), "must be non-empty with no ratio repeated"),
             ("synthetic_n", self.synthetic_n >= 1, "must be >= 1"),
             ("synthetic_fraud_fraction", 0.0 < self.synthetic_fraud_fraction < 1.0,
              "must be in (0, 1)"),
@@ -206,19 +213,13 @@ def load_source(cfg: ExperimentConfig) -> datamod.Dataset:
 
 
 def prepare_splits(ds: datamod.Dataset, cfg: ExperimentConfig, rng: Rng):
-    """Resample to the target ratio, hold out a stratified cfg.test_fraction
-    of the rows as the test set, standardize both with train statistics.
-    Returns (train, test)."""
-    # The input and the resampled rows are dropped before standardizing, so
-    # when the caller passes a temporary pool (run_sweep) only train and
-    # test are held from then on.
-    resampled = datamod.resample_ratio(ds, cfg.ratio, rng.split("resample"))
-    del ds
-    train, test = datamod.stratified_split(resampled, cfg.test_fraction,
+    """Resample ds to cfg.ratio, hold out a stratified cfg.test_fraction of
+    the kept rows as the test set, standardize both with train statistics.
+    Returns (train, test), each taken from ds once."""
+    rows = datamod.resample_ratio(ds.labels, cfg.ratio, rng.split("resample"))
+    train, test = datamod.stratified_split(ds.labels[rows], cfg.test_fraction,
                                            rng.split("split"))
-    del resampled
-    std = datamod.fit_standardizer(train)
-    return datamod.apply_standardizer(std, train), datamod.apply_standardizer(std, test)
+    return datamod.standardize(ds.take(rows[train]), ds.take(rows[test]))
 
 
 # A diverging fit overflows in numpy before its non-finite updates or test
@@ -379,27 +380,21 @@ def run_fed_vs_central(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _stratified_subsample(ds: datamod.Dataset, n: int, rng: Rng) -> datamod.Dataset:
-    idx = []
-    for cls in (0, 1):
-        cls_idx = np.flatnonzero(ds.labels == cls)
-        take = int(round(n * cls_idx.size / ds.n_samples))
-        take = min(max(take, 1), cls_idx.size)
-        perm = cls_idx[rng.split("sub", cls).permutation(cls_idx.size)]
-        idx.append(perm[:take])
-    return ds.take(np.sort(np.concatenate(idx)))
-
-
 def _sweep_cells(source: datamod.Dataset, cfg: ExperimentConfig,
                  sample_count: int, ratio_name: str):
     """The sweep_repeats cells (train, test, rng) of one grid point, each
-    drawn when the consumer asks for it; rng.seed is the cell's seed."""
+    drawn when the consumer asks for it; rng.seed is the cell's seed. A
+    cell's pool is about sample_count rows at the source's class mix (at
+    least one of each class present), by stratified_draw on rng.split("sub")."""
     split_cfg = dataclasses.replace(cfg, ratio=parse_ratio(ratio_name))
+
+    def pool_count(n_c):
+        return min(max(int(round(sample_count * n_c / source.n_samples)), 1), n_c)
+
     for rep in range(cfg.sweep_repeats):
-        seed = cfg.seed + rep
-        rng = Rng(seed).split("sweep", sample_count, ratio_name)
-        train, test = prepare_splits(_stratified_subsample(source, sample_count, rng),
-                                     split_cfg, rng)
+        rng = Rng(cfg.seed + rep).split("sweep", sample_count, ratio_name)
+        pool = datamod.stratified_draw(source.labels, pool_count, rng.split("sub"))
+        train, test = prepare_splits(source.take(pool), split_cfg, rng)
         yield train, test, rng
 
 

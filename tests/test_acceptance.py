@@ -242,7 +242,7 @@ def test_10_property_suites(tmp_path):
             ratio = (1, 1 + case % 5)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # cap warnings are expected here
-                out = data.resample_ratio(ds, ratio, rng.split("r"))
+                out = ds.take(data.resample_ratio(ds.labels, ratio, rng.split("r")))
             assert out.fraud_count == ds.fraud_count
             rows = [tuple(r) for r in out.features]
             assert len(rows) == len(set(rows))

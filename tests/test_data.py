@@ -107,6 +107,23 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="header names column '(a|Class)' twice"):
             data.load_csv(path)
 
+    @pytest.mark.parametrize("text", ["\ufeffClass,a,b\n0,1.5,2\n1,3,4\n",
+                                      '\ufeff"a",b,Class\n1.5,2,0\n3,4,1\n'],
+                             ids=["label_first", "quoted_feature_first"])
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path, text):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(text.encode("utf-8"))
+        ds = data.load_csv(path)
+        assert ds.feature_names == ("a", "b")
+        assert np.array_equal(ds.labels, [0, 1])
+        assert np.array_equal(ds.features, [[1.5, 2.0], [3.0, 4.0]])
+
+    def test_byte_order_mark_file_bad_cell_reports_row(self, tmp_path):
+        path = tmp_path / "bom-bad.csv"
+        path.write_bytes("\ufeffClass,V1\n0,1.0\n1,xyz\n".encode("utf-8"))
+        with pytest.raises(DataError, match="row 3: bad feature cell"):
+            data.load_csv(path)
+
     def test_bad_cell_reports_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("V1,Class\n1.0,0\nxyz,1\n")
@@ -217,53 +234,53 @@ class TestLoadCsv:
 class TestStandardizer:
     def test_simple_column(self):
         ds = data.Dataset(np.array([[1.0], [2.0], [3.0]]), np.array([0, 1, 0]))
-        params = data.fit_standardizer(ds)
-        assert params.mean[0] == 2.0
-        assert params.std[0] == pytest.approx(np.sqrt(2.0 / 3.0))
-        out = data.apply_standardizer(params, ds)
+        [out] = data.standardize(ds)
+        # Row 1 is the mean, 2.0, and row 2 is one std above it.
+        assert out.features[2, 0] == pytest.approx(1.0 / np.sqrt(2.0 / 3.0))
         assert out.features[1, 0] == 0.0
         assert out.features[0, 0] == pytest.approx(-out.features[2, 0])
 
     def test_constant_column_no_nan(self):
         ds = data.Dataset(np.array([[5.0], [5.0], [5.0]]), np.array([0, 1, 0]))
-        out = data.apply_standardizer(data.fit_standardizer(ds), ds)
+        [out] = data.standardize(ds)
         assert np.array_equal(out.features, np.zeros((3, 1)))
 
     def test_idempotent_normalization(self, imbalanced):
-        once = data.apply_standardizer(data.fit_standardizer(imbalanced), imbalanced)
-        refit = data.fit_standardizer(once)
-        assert np.max(np.abs(refit.mean)) <= 1e-9
-        assert np.max(np.abs(refit.std - 1.0)) <= 1e-9
+        [once] = data.standardize(imbalanced)
+        assert np.max(np.abs(once.features.mean(axis=0))) <= 1e-9
+        assert np.max(np.abs(once.features.std(axis=0) - 1.0)) <= 1e-9
 
     def test_test_transform_uses_train_stats_only(self, imbalanced):
-        train, test = data.stratified_split(imbalanced, 0.3, Rng(1))
-        params = data.fit_standardizer(train)
+        train_rows, test_rows = data.stratified_split(imbalanced.labels, 0.3, Rng(1))
+        train, test = imbalanced.take(train_rows), imbalanced.take(test_rows)
         perturbed = data.Dataset(test.features * 100.0, test.labels)
-        out = data.apply_standardizer(params, perturbed)
-        denom = np.where(params.std > 0, params.std, 1.0)
+        before = perturbed.features.copy()
+        _, out = data.standardize(train, perturbed)
+        std = train.features.std(axis=0)
+        denom = np.where(std > 0, std, 1.0)
         assert np.array_equal(out.features,
-                              (perturbed.features - params.mean) / denom)
+                              (perturbed.features - train.features.mean(axis=0)) / denom)
+        assert np.array_equal(perturbed.features, before)
 
     def test_empty_dataset(self):
         ds = data.Dataset(np.empty((0, 2)), np.empty(0, dtype=np.intp))
         with pytest.raises(DomainError):
-            data.fit_standardizer(ds)
+            data.standardize(ds)
 
 
 class TestStratifiedSplit:
     def test_exact_proportions(self):
         labels = np.array([1] * 10 + [0] * 90)
-        ds = data.Dataset(np.arange(100, dtype=float).reshape(100, 1), labels)
-        train, test = data.stratified_split(ds, 0.2, Rng(0))
-        assert test.n_samples == 20
-        assert test.fraud_count == 2
-        assert train.fraud_count == 8
+        train, test = data.stratified_split(labels, 0.2, Rng(0))
+        assert test.size == 20
+        assert labels[test].sum() == 2
+        assert labels[train].sum() == 8
 
     def test_deterministic(self, imbalanced):
-        a = data.stratified_split(imbalanced, 0.3, Rng(5))
-        b = data.stratified_split(imbalanced, 0.3, Rng(5))
-        assert np.array_equal(a[0].features, b[0].features)
-        assert np.array_equal(a[1].features, b[1].features)
+        a = data.stratified_split(imbalanced.labels, 0.3, Rng(5))
+        b = data.stratified_split(imbalanced.labels, 0.3, Rng(5))
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
     def test_union_and_disjointness(self):
         for seed in range(20):
@@ -272,7 +289,9 @@ class TestStratifiedSplit:
             ds = data.make_synthetic(n, 0.3, 1.0, 3, rng)
             if ds.fraud_count in (0, n):
                 continue
-            train, test = data.stratified_split(ds, 0.25, rng.split("s"))
+            train_ids, test_ids = data.stratified_split(ds.labels, 0.25, rng.split("s"))
+            assert np.all(np.diff(train_ids) > 0) and np.all(np.diff(test_ids) > 0)
+            train, test = ds.take(train_ids), ds.take(test_ids)
             assert train.n_samples + test.n_samples == n
             # Rows are unique with probability 1; set membership finds overlap.
             all_rows = {tuple(r) for r in ds.features}
@@ -282,37 +301,38 @@ class TestStratifiedSplit:
             assert not (train_rows & test_rows)
 
     def test_single_class_rejected(self):
-        ds = data.Dataset(np.ones((10, 1)), np.zeros(10, dtype=np.intp))
-        with pytest.raises(DomainError):
-            data.stratified_split(ds, 0.2, Rng(0))
+        for cls in (0, 1):
+            with pytest.raises(DomainError, match=f"class {1 - cls} has no samples"):
+                data.stratified_split(np.full(10, cls, dtype=np.intp), 0.2, Rng(0))
 
     def test_bad_fraction(self, imbalanced):
         with pytest.raises(DomainError):
-            data.stratified_split(imbalanced, 1.0, Rng(0))
+            data.stratified_split(imbalanced.labels, 1.0, Rng(0))
 
 
 class TestResampleRatio:
     def test_one_to_one(self, imbalanced):
-        out = data.resample_ratio(imbalanced, (1, 1), Rng(0))
+        out = imbalanced.take(data.resample_ratio(imbalanced.labels, (1, 1), Rng(0)))
         assert out.fraud_count == imbalanced.fraud_count
         assert out.n_samples == 2 * imbalanced.fraud_count
 
     def test_one_to_five(self, imbalanced):
-        out = data.resample_ratio(imbalanced, (1, 5), Rng(0))
+        out = imbalanced.take(data.resample_ratio(imbalanced.labels, (1, 5), Rng(0)))
         assert out.n_samples == 6 * imbalanced.fraud_count
 
     def test_cap_with_warning(self, imbalanced):
         with pytest.warns(UserWarning, match="keeping all"):
-            out = data.resample_ratio(imbalanced, (1, 10**6), Rng(0))
+            out = imbalanced.take(
+                data.resample_ratio(imbalanced.labels, (1, 10**6), Rng(0)))
         assert out.n_samples == imbalanced.n_samples
 
     def test_no_fraud_rejected(self):
         ds = data.Dataset(np.ones((5, 1)), np.zeros(5, dtype=np.intp))
         with pytest.raises(DomainError):
-            data.resample_ratio(ds, (1, 1), Rng(0))
+            data.resample_ratio(ds.labels, (1, 1), Rng(0))
 
     def test_never_duplicates_rows(self, imbalanced):
-        out = data.resample_ratio(imbalanced, (1, 2), Rng(3))
+        out = imbalanced.take(data.resample_ratio(imbalanced.labels, (1, 2), Rng(3)))
         rows = [tuple(r) for r in out.features]
         assert len(rows) == len(set(rows))
 
@@ -329,7 +349,8 @@ class TestResampleRatio:
         ds = data.Dataset(np.arange(n, dtype=float).reshape(n, 1), labels)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            out = data.resample_ratio(ds, (fraud_part, legit_part), Rng(seed))
+            out = ds.take(data.resample_ratio(ds.labels, (fraud_part, legit_part),
+                                              Rng(seed)))
         rows = out.features[:, 0].astype(np.intp)
         assert np.array_equal(out.labels, labels[rows])
         assert len(set(rows.tolist())) == rows.size

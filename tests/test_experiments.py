@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import filecmp
+import hashlib
 import json
 import os
 import re
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedfraud import cli, experiments, metrics
+from fedfraud import cli, data, experiments, metrics
 from fedfraud.errors import ConfigError, DomainError
 from fedfraud.experiments import ExperimentConfig, load_config, parse_ratio
 from fedfraud.numeric import Rng
@@ -179,14 +180,80 @@ class TestSweep:
         source = experiments.load_source(cfg)
         for row in rows:
             cell_cfg = dataclasses.replace(cfg, ratio=parse_ratio(row["ratio"]),
-                                           seed=row["seed"])
-            rng = Rng(row["seed"]).split("sweep", row["sample_count"], row["ratio"])
-            pool = experiments._stratified_subsample(source, row["sample_count"], rng)
-            train, test = experiments.prepare_splits(pool, cell_cfg, rng)
+                                           seed=row["seed"], sweep_repeats=1)
+            [(train, test, rng)] = experiments._sweep_cells(
+                source, cell_cfg, row["sample_count"], row["ratio"])
+            assert rng.seed == row["seed"]
             [(scores, labels, _, _)] = experiments.train_model(
                 "mlp_fed", cell_cfg, [(train, test, rng)])
             _, auc = metrics.roc_auc(scores, labels)
             assert auc == row["auc"]
+
+
+def _split_digests(train, test):
+    """SHA-256 of each split's standardized features and labels."""
+    return tuple(hashlib.sha256(ds.features.tobytes() + ds.labels.astype(np.int64).tobytes())
+                 .hexdigest() for ds in (train, test))
+
+
+def _ulb_shaped_source(tmp_path):
+    """A small CSV shaped like the ULB file (Time, V1..V28, Amount; 50 of
+    6 000 rows fraud), read back through load_csv."""
+    gen = np.random.default_rng(11)
+    labels = np.zeros(6000, dtype=np.intp)
+    labels[gen.choice(6000, 50, replace=False)] = 1
+    features = gen.standard_normal((6000, 30))
+    features[labels == 1, 1:29] += 0.7
+    names = ("Time", *(f"V{i}" for i in range(1, 29)), "Amount")
+    path = tmp_path / "ulb.csv"
+    data.write_csv(data.Dataset(features, labels, names), path)
+    return data.load_csv(path)
+
+
+ULB_DIGESTS = ("6935d1e4ab8348470a9540c6bc531f2637d34ce33b375b0b2fa6bae1ab4e0a4f",
+               "201cfbf84f1cfd04d5c46b4fa38aedac9264cfa0e8aaa5361657bd5b1f004d6b")
+SYNTHETIC_DIGESTS = {
+    (1, 1): ("3d99c4c7473e9dc0c9babe5b0839146bd8eee4db9e40a7f45c9728fe93b7d724",
+             "1a27cf26980ebee914c9f3a038a7063fc86802af48c48c2b268cc238ad145f4a"),
+    (1, 50): ("655f5db44ff5db687cefe02b698e01d543adf529a7e09e9f4e8dbeb7f87b8ed0",
+              "750f218d1c96421a9553d87d827cb50dfecdbcaefbc8fb410193a0c3b0f1704e"),
+}
+SWEEP_DIGESTS = [
+    ("27a66f49993fdd4decf4529d914f07ce58190ec52d5084987eabf5c7800ea881",
+     "db1bf7f43d85d171d171056cdb696cd0b45d9d883369338218c263a3da23a0d8"),
+    ("d3a7672d48251393900658e08ab1ffbd406ef03a66b1b694311686b7b2512c97",
+     "5b382f50916767d12a006d3a27601256223346422aa7aa7f5ed2ae68b30ef1f6"),
+]
+
+
+class TestSplitStreamsPinned:
+    """prepare_splits' standardized train and test, pinned by digest: a
+    refactor of resampling, splitting or standardizing must keep every
+    stream and every arithmetic step."""
+
+    def test_ulb_shaped_file_at_1_to_100(self, tmp_path):
+        cfg = ExperimentConfig(**fast_overrides(tmp_path, seed=5, ratio=(1, 100)))
+        train, test = experiments.prepare_splits(_ulb_shaped_source(tmp_path), cfg, Rng(5))
+        assert (train.n_samples, train.fraud_count) == (4040, 40)
+        assert (test.n_samples, test.fraud_count) == (1010, 10)
+        assert _split_digests(train, test) == ULB_DIGESTS
+
+    @pytest.mark.parametrize("ratio, warns", [((1, 1), False), ((1, 50), True)])
+    def test_synthetic(self, tmp_path, ratio, warns):
+        cfg = ExperimentConfig(**fast_overrides(tmp_path, seed=2, ratio=ratio))
+        source = experiments.load_source(cfg)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            train, test = experiments.prepare_splits(source, cfg, Rng(2))
+        assert any("keeping all of them" in str(w.message) for w in caught) == warns
+        assert _split_digests(train, test) == SYNTHETIC_DIGESTS[ratio]
+
+    def test_sweep_pool(self, tmp_path):
+        cfg = ExperimentConfig(**fast_overrides(tmp_path, seed=4, sweep_repeats=2))
+        source = experiments.load_source(cfg)
+        cells = experiments._sweep_cells(source, cfg, 700, "1:3")
+        digests = [_split_digests(train, test) for train, test, _ in cells]
+        assert digests == SWEEP_DIGESTS
 
 
 class TestDivergedFit:
@@ -295,6 +362,9 @@ class TestCli:
         ("dt_max_depth", -1), ("sweep_ratios", ("1:0",)),
         ("threshold", "0.5"), ("participation", None), ("hidden_sizes", 16),
         ("sweep_ratios", "1:1"), ("data", 5), ("label_column", 3),
+        ("sweep_sample_counts", ()), ("sweep_sample_counts", (100, 100)),
+        ("sweep_ratios", ()), ("sweep_ratios", ("1:1", "1:1")),
+        ("sweep_ratios", ("1:1", "01:1")),
     ])
     def test_bad_config_value_exit_one_before_writing(self, tmp_path, capsys,
                                                       field, value):
