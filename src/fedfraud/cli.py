@@ -7,6 +7,7 @@ Exit codes: 0 ok, 1 config error, 2 data error, 3 runtime error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -82,7 +83,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where processes cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def main(argv=None) -> int:
+    """Run one command. Without argv this is the program (`fedfraud` or
+    `python -m fedfraud.cli`), and sweep-sampling trains its grid points in
+    one forked worker per usable CPU. A call from Python with argv runs
+    everything in the calling process: the package forks no process it
+    does not own."""
+    workers = _usable_cpus() if argv is None else 1
     args = build_parser().parse_args(argv)
     # Every other flag's dest is the config field it overrides.
     overrides = {k: v for k, v in vars(args).items()
@@ -102,7 +119,7 @@ def main(argv=None) -> int:
             for row in rows:
                 print(f"{row['model']:>12}  auc={row['auc']:.4f}  f1={row['f1']:.4f}")
         elif args.command == "sweep-sampling":
-            rows = experiments.run_sweep(cfg)
+            rows = experiments.run_sweep(cfg, workers)
             print(f"wrote {len(rows)} sweep rows to {cfg.out}/sweep.csv")
         elif args.command == "fed-vs-central":
             result = experiments.run_fed_vs_central(cfg)

@@ -14,6 +14,7 @@ import dataclasses
 import json
 import math
 import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import data as datamod
 from . import federated, metrics, models
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DataError, DomainError
 from .numeric import Rng
 
 
@@ -398,35 +399,111 @@ def _sweep_cells(source: datamod.Dataset, cfg: ExperimentConfig,
         yield train, test, rng
 
 
-def run_sweep(cfg: ExperimentConfig) -> list[dict]:
+def _sweep_point(source: datamod.Dataset, cfg: ExperimentConfig,
+                 sample_count: int, ratio_name: str) -> list[float]:
+    """The test AUC of each repeat of one grid point, trained in one
+    train_model call. A DomainError names the grid point."""
+    try:
+        fits = train_model(cfg.sweep_model, cfg, _sweep_cells(
+            source, cfg, sample_count, ratio_name))
+        return [metrics.roc_auc(scores, labels)[1] for scores, labels, _, _ in fits]
+    except DomainError as exc:
+        raise DomainError(f"sample_count {sample_count}, ratio {ratio_name}: {exc}") from exc
+
+
+def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
     """Sampling-ratio sensitivity: for each (sample_count, ratio, seed), draw
     a pool of sample_count rows, resample to the ratio, train, record AUC.
-    The repeats of one (sample_count, ratio) grid point train in one
-    train_model call."""
+    A sample_count larger than the source is skipped with a warning, and a
+    grid where every one is larger is a DataError. The grid points run in
+    up to `workers` forked processes, largest sample_count first
+    (_fork_map); the rows and sweep.csv do not depend on `workers`."""
     source = load_source(cfg)
+    oversized = [n for n in cfg.sweep_sample_counts if n > source.n_samples]
+    if len(oversized) == len(cfg.sweep_sample_counts):
+        raise DataError(f"sweep_sample_counts: every count exceeds the dataset size "
+                        f"{source.n_samples} (the largest is {max(oversized)})")
+    for sample_count in oversized:
+        warnings.warn(f"sample_count {sample_count} exceeds dataset size "
+                      f"{source.n_samples}; skipping")
+    points = [(sample_count, ratio_name) for sample_count in cfg.sweep_sample_counts
+              if sample_count not in oversized for ratio_name in cfg.sweep_ratios]
     _write_common(cfg, cfg.out)
 
-    rows = []
-    for sample_count in cfg.sweep_sample_counts:
-        if sample_count > source.n_samples:
-            warnings.warn(
-                f"sample_count {sample_count} exceeds dataset size "
-                f"{source.n_samples}; skipping"
-            )
-            continue
-        for ratio_name in cfg.sweep_ratios:
-            fits = train_model(cfg.sweep_model, cfg, _sweep_cells(
-                source, cfg, sample_count, ratio_name))
-            for rep, (scores, labels, _, _) in enumerate(fits):
-                _, auc = metrics.roc_auc(scores, labels)
-                rows.append({"sample_count": sample_count, "ratio": ratio_name,
-                             "seed": cfg.seed + rep, "auc": auc})
-
+    # Largest first, so that no big point starts last and runs alone.
+    aucs = _fork_map(lambda i: _sweep_point(source, cfg, *points[i]), len(points),
+                     workers, sorted(range(len(points)), key=lambda i: -points[i][0]))
+    rows = [{"sample_count": sample_count, "ratio": ratio_name,
+             "seed": cfg.seed + rep, "auc": auc}
+            for (sample_count, ratio_name), point in zip(points, aucs, strict=True)
+            for rep, auc in enumerate(point)]
     rows.sort(key=lambda r: (r["sample_count"], r["ratio"], r["seed"]))
     header = ["sample_count", "ratio", "seed", "auc"]
     write_rows_csv(os.path.join(cfg.out, "sweep.csv"), header,
                    [[r[c] for c in header] for r in rows])
     return rows
+
+
+# --- forked workers ---------------------------------------------------------
+
+# The task of the _fork_map call that is running. Its workers inherit it
+# through fork, so only a task index goes down to them.
+_fork_task = None
+
+
+def _fork_map(task, count: int, workers: int, order) -> list:
+    """[task(i) for i in range(count)]. With more than one worker and more
+    than one task, the tasks run in min(workers, count) forked processes,
+    handed out in `order` (a permutation of the indices). A worker records
+    its task's warnings and returns its exception as a value. The parent
+    re-issues the warnings, then raises the first exception, in index
+    order, so the caller sees what the in-process loop shows. No worker
+    outlives the call."""
+    if workers <= 1 or count <= 1:
+        return [task(i) for i in range(count)]
+    # Imported here, so that importing the package does not pay for them.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    global _fork_task
+    _fork_task = task
+    try:
+        # fork, named: the workers inherit the task and its data without
+        # pickling them, and Python 3.14 changes the default start method.
+        # A killed worker makes map raise BrokenProcessPool, where
+        # multiprocessing.Pool.map would wait forever for its task.
+        with ProcessPoolExecutor(min(workers, count),
+                                 mp_context=multiprocessing.get_context("fork")) as pool:
+            done = dict(zip(order, pool.map(_run_forked, order), strict=True))
+    finally:
+        _fork_task = None
+    modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
+    values = []
+    for i in range(count):
+        value, error, caught = done[i]
+        for message, category, filename, lineno in caught:
+            # With the module name and registry that warnings.warn uses, so
+            # the parent's filters and its once-per-location rule apply.
+            module = modules.get(filename)
+            warnings.warn_explicit(
+                message, category, filename, lineno, getattr(module, "__name__", None),
+                None if module is None else vars(module).setdefault("__warningregistry__", {}))
+        if error is not None:
+            raise error
+        values.append(value)
+    return values
+
+
+def _run_forked(i: int):
+    """Task i of the running _fork_map, in a worker: (value, exception,
+    warnings as (message, category, filename, lineno))."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # the parent's filters decide
+        try:
+            value, error = _fork_task(i), None
+        except Exception as exc:
+            value, error = None, exc
+    return value, error, [(w.message, w.category, w.filename, w.lineno) for w in caught]
 
 
 def run_gen_synthetic(cfg: ExperimentConfig, path: str) -> datamod.Dataset:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import dataclasses
 import filecmp
@@ -5,9 +6,11 @@ import hashlib
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import warnings
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -188,6 +191,119 @@ class TestSweep:
                 "mlp_fed", cell_cfg, [(train, test, rng)])
             _, auc = metrics.roc_auc(scores, labels)
             assert auc == row["auc"]
+
+    def test_every_count_oversized_is_a_data_error(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(dict(synthetic_n=1000, sweep_sample_counts=[5000, 3000],
+                                        sweep_repeats=1)))
+        out = tmp_path / "o"
+        rc = cli.main(["sweep-sampling", "--config", str(path), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "data error: sweep_sample_counts: every count exceeds the dataset size "
+            "1000 (the largest is 5000)\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_grid_point_named_in_grid_order(self, tmp_path, workers):
+        # Both points fail. At 2 workers the larger one is handed out first,
+        # but the error raised is the one the in-process loop meets first.
+        cfg = ExperimentConfig(**fast_overrides(
+            tmp_path, sweep_sample_counts=(300, 600), sweep_ratios=("1:1",),
+            sweep_repeats=2, rounds=2, k_clients=500))
+        with pytest.raises(DomainError, match=r"^sample_count 300, ratio 1:1: "
+                                              r"cannot split \d+ rows into 500 shards$"):
+            experiments.run_sweep(cfg, workers)
+        assert not (Path(cfg.out) / "sweep.csv").exists()
+
+
+SWEEP_GRID = dict(sweep_sample_counts=(300, 600, 1200), sweep_ratios=("1:1", "1:100"),
+                  sweep_repeats=2)
+
+
+def _sweep_at(tmp_path, workers, action, **extra):
+    """run_sweep at `workers` under warnings.simplefilter(action): its rows,
+    its sweep.csv bytes and the warnings shown."""
+    cfg = ExperimentConfig(**fast_overrides(tmp_path, seed=2, out=str(tmp_path / str(workers)),
+                                            **{**SWEEP_GRID, **extra}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action)
+        rows = experiments.run_sweep(cfg, workers)
+    shown = [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+    return rows, (Path(cfg.out) / "sweep.csv").read_bytes(), shown
+
+
+class TestSweepWorkers:
+    """With workers, run_sweep forks its grid points; what it returns,
+    writes and warns must be what the in-process run gives."""
+
+    @pytest.mark.parametrize("model", ["mlp_fed", "lr", "dt"])
+    def test_two_workers_match_in_process(self, tmp_path, model):
+        alone = _sweep_at(tmp_path, 1, "always", sweep_model=model)
+        assert len(alone[0]) == 3 * 2 * 2
+        assert any("keeping all of them" in message for message, *_ in alone[2])
+        assert _sweep_at(tmp_path, 2, "always", sweep_model=model) == alone
+
+    def test_default_filter_shows_each_warning_once_at_any_worker_count(self, tmp_path):
+        # Both repeats of a 1:100 point warn with the same text; the default
+        # filter shows a text once per location, as warnings.warn would.
+        alone = _sweep_at(tmp_path, 1, "default", sweep_model="lr")
+        assert [message for message, *_ in alone[2]] == [
+            f"ratio asks for {legit} legit rows but only {have} are available; "
+            "keeping all of them" for legit, have in ((4300, 257), (8700, 513), (17300, 1027))]
+        assert _sweep_at(tmp_path, 2, "default", sweep_model="lr")[2] == alone[2]
+
+    def test_only_a_grid_of_two_or_more_points_starts_a_pool(self, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        one = ExperimentConfig(**fast_overrides(
+            tmp_path, sweep_sample_counts=(600,), sweep_ratios=("1:1",),
+            sweep_repeats=2, sweep_model="lr"))
+        assert len(experiments.run_sweep(one, 2)) == 2
+        two = dataclasses.replace(one, sweep_ratios=("1:1", "1:3"))
+        with pytest.raises(AssertionError, match="a pool was started"):
+            experiments.run_sweep(two, 2)
+
+    def test_killed_worker_raises_instead_of_waiting(self):
+        parent = os.getpid()
+
+        def task(i):
+            if i == 0 and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return i
+
+        with pytest.raises(BrokenProcessPool):
+            experiments._fork_map(task, 3, 2, [0, 1, 2])
+
+    def test_only_the_program_passes_workers(self, monkeypatch, tmp_path):
+        seen = []
+        monkeypatch.setattr(experiments, "run_sweep",
+                            lambda cfg, *rest: seen.append(rest) or [])
+        argv = ["sweep-sampling", "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 0
+        monkeypatch.setattr(sys, "argv", ["fedfraud", *argv])
+        assert cli.main() == 0
+        assert seen == [(1,), (cli._usable_cpus(),)]
+
+    def test_program_writes_what_main_with_argv_writes(self, tmp_path):
+        path = tmp_path / "grid.json"
+        grid = {**fast_overrides(tmp_path), **SWEEP_GRID}
+        del grid["out"]
+        path.write_text(json.dumps(grid))
+        argv = ["sweep-sampling", "--seed", "1", "--config", str(path), "--out"]
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "fedfraud.cli", *argv, str(tmp_path / "program")],
+            cwd=root, env=dict(os.environ, PYTHONPATH=str(root / "src")),
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert cli.main([*argv, str(tmp_path / "main")]) == 0
+        assert ((tmp_path / "program" / "sweep.csv").read_bytes()
+                == (tmp_path / "main" / "sweep.csv").read_bytes())
 
 
 def _split_digests(train, test):
