@@ -104,16 +104,11 @@ def main(argv=None) -> int:
     # Every other flag's dest is the config field it overrides.
     overrides = {k: v for k, v in vars(args).items()
                  if k not in ("command", "config", "output")}
+    start = time.perf_counter()
     try:
         if overrides.get("ratio") is not None:
             overrides["ratio"] = experiments.parse_ratio(overrides["ratio"])
         cfg = experiments.load_config(args.config, overrides)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-
-    start = time.perf_counter()
-    try:
         if args.command == "benchmark":
             rows = experiments.run_benchmark(cfg)
             for row in rows:

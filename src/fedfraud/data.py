@@ -106,6 +106,8 @@ def load_csv(path, label_column: str = DEFAULT_LABEL_COLUMN) -> Dataset:
                 raise DataError(f"{path}: label column {label_column!r} not in header {header}")
             label_idx = header.index(label_column)
             feat_idx = [i for i in range(len(header)) if i != label_idx]
+            if not feat_idx:
+                raise DataError(f"{path}: no feature columns besides {label_column!r}")
 
             try:
                 with warnings.catch_warnings():

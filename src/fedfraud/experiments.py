@@ -104,18 +104,14 @@ class ExperimentConfig:
             ratios = [parse_ratio(r) for r in self.sweep_ratios]
         except ConfigError as exc:
             raise ConfigError(f"sweep_ratios: {exc} (of {self.sweep_ratios!r})") from None
-        if self.sweep_model not in BENCHMARK_MODELS:
-            raise ConfigError(f"sweep_model: unknown model {self.sweep_model!r}")
-        if self.partition_scheme not in datamod.PARTITION_SCHEMES:
-            raise ConfigError(
-                f"partition_scheme: expected one of {', '.join(datamod.PARTITION_SCHEMES)}, "
-                f"got {self.partition_scheme!r}")
         checks = (
+            ("sweep_model", self.sweep_model in BENCHMARK_MODELS,
+             f"expected one of {', '.join(BENCHMARK_MODELS)}"),
+            ("partition_scheme", self.partition_scheme in datamod.PARTITION_SCHEMES,
+             f"expected one of {', '.join(datamod.PARTITION_SCHEMES)}"),
             ("seed", self.seed >= 0, "must be >= 0"),
             ("k_clients", self.k_clients >= 1, "must be >= 1"),
             ("local_epochs", self.local_epochs >= 1, "must be >= 1"),
-            ("aggregation_mode", self.aggregation_mode in (federated.FEDAVG, federated.FEDSGD),
-             f"must be {federated.FEDAVG!r} or {federated.FEDSGD!r}"),
             ("dt_max_depth", self.dt_max_depth is None or self.dt_max_depth >= 0,
              "must be >= 0 or null"),
             ("dt_min_samples_leaf", self.dt_min_samples_leaf >= 1, "must be >= 1"),
@@ -148,12 +144,12 @@ class ExperimentConfig:
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
 
-    def hyperparams(self, epochs: int | None = None) -> models.MlpHyperparams:
+    def hyperparams(self) -> models.MlpHyperparams:
         return models.MlpHyperparams(
             hidden_sizes=self.hidden_sizes,
             learning_rate=self.learning_rate,
             batch_size=self.batch_size,
-            epochs=self.epochs if epochs is None else epochs,
+            epochs=self.epochs,
         )
 
     def decision_tree(self) -> models.DecisionTree:
@@ -164,7 +160,7 @@ class ExperimentConfig:
             rounds=self.rounds,
             participation=self.participation,
             aggregation_mode=self.aggregation_mode,
-            hyperparams=self.hyperparams(epochs=self.local_epochs),
+            hyperparams=dataclasses.replace(self.hyperparams(), epochs=self.local_epochs),
         )
 
 
@@ -186,6 +182,8 @@ def load_config(path: str | None, overrides: dict | None = None) -> ExperimentCo
                 values = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{path}: cannot read ({exc})")
         if not isinstance(values, dict):
             raise ConfigError(f"{path}: top level must be an object")
     if overrides:
@@ -211,6 +209,17 @@ def load_source(cfg: ExperimentConfig) -> datamod.Dataset:
     return datamod.make_synthetic(cfg.synthetic_n, cfg.synthetic_fraud_fraction,
                                   cfg.synthetic_separation, cfg.synthetic_features,
                                   rng)
+
+
+def _training_source(cfg: ExperimentConfig) -> datamod.Dataset:
+    """load_source, refused unless it has fraud and legit rows: the training
+    commands resample it to a fraud:legit ratio."""
+    source = load_source(cfg)
+    fraud = source.fraud_count
+    if not 0 < fraud < source.n_samples:
+        raise DataError(f"{cfg.data or 'synthetic source'}: training needs fraud and legit "
+                        f"rows, got {fraud} fraud and {source.n_samples - fraud} legit")
+    return source
 
 
 def prepare_splits(ds: datamod.Dataset, cfg: ExperimentConfig, rng: Rng):
@@ -337,7 +346,7 @@ def _run_models(cfg: ExperimentConfig, names, score_rounds: bool) -> list[dict]:
     report rows, one per model in the given order. With `score_rounds`,
     rounds.csv scores each round's global model on the test set at
     cfg.threshold, as report.csv scores the final models."""
-    source = load_source(cfg)
+    source = _training_source(cfg)
     _write_common(cfg, cfg.out)
     rng = Rng(cfg.seed)
     train, test = prepare_splits(source, cfg, rng)
@@ -418,7 +427,7 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
     grid where every one is larger is a DataError. The grid points run in
     up to `workers` forked processes, largest sample_count first
     (_fork_map); the rows and sweep.csv do not depend on `workers`."""
-    source = load_source(cfg)
+    source = _training_source(cfg)
     oversized = [n for n in cfg.sweep_sample_counts if n > source.n_samples]
     if len(oversized) == len(cfg.sweep_sample_counts):
         raise DataError(f"sweep_sample_counts: every count exceeds the dataset size "

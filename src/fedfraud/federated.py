@@ -10,11 +10,12 @@ results do not depend on the order in which clients are processed.
 run_training, run_round and client_results train F independent federations
 side by side (benchmark and fed-vs-central run F=1; the sampling sweep runs
 a grid point's repeats). They share one FedConfig, as FedAvg's server
-fixes one set of client settings, and differ in data and seed only. In
-FedAvg mode a round's clients of all F federations train in lockstep: their
-models form one K-stacked set of arrays, each entry starting from its own
-federation's global model, and their shards a DatasetStack, and each epoch
-is one models.sgd_epoch over the stack. This is bit-identical to training
+fixes one set of client settings, and differ in data and seed only. A
+round's clients of all F federations form one lockstep stack: their models
+one K-stacked set of arrays, each entry a C-contiguous copy of its own
+federation's global model, and their shards a DatasetStack. FedAvg trains
+the stack, each epoch one models.sgd_epoch; FedSGD, which is FedAvg with no
+local training, trains it zero epochs. This is bit-identical to training
 each client on its own: a stacked matmul makes the same gemm call per stack
 entry as a 2-D matmul, the elementwise ops, the sigmoid and the per-entry
 sums do the same arithmetic on each element, and no stack entry reads
@@ -67,7 +68,8 @@ class FedConfig:
         if not 0.0 < self.participation <= 1.0:
             raise DomainError(f"participation must be in (0,1], got {self.participation}")
         if self.aggregation_mode not in (FEDAVG, FEDSGD):
-            raise DomainError(f"unknown aggregation mode {self.aggregation_mode!r}")
+            raise DomainError(f"aggregation_mode must be {FEDAVG!r} or {FEDSGD!r}, "
+                              f"got {self.aggregation_mode!r}")
 
 
 @dataclass
@@ -103,15 +105,13 @@ def client_results(shards: list[list[ClientShard]],
     masters[f] its master Rng; `config` is the one they share. Returns one
     list per federation, in the given client order.
 
-    In FedAvg mode each client first trains a copy of its federation's
-    global parameters for hyperparams.epochs epochs of mini-batch SGD, all
-    clients of all federations in lockstep. Client k of federation f trains
-    round t on masters[f].split("client", k, "round", t).
+    Each client starts from a copy of its federation's global parameters,
+    all clients of all federations in one lockstep stack. In FedAvg mode the
+    stack trains hyperparams.epochs epochs of mini-batch SGD, in FedSGD mode
+    none. Client k of federation f trains round t on
+    masters[f].split("client", k, "round", t).
     """
     mode = config.aggregation_mode
-    if mode == FEDSGD:
-        return [[local_update(s, params, mode) for s in fed]
-                for fed, params in zip(shards, global_params, strict=True)]
     # Largest shard first, ties by federation and client id (see DatasetStack).
     entries = sorted(((f, k, s) for f, fed in enumerate(shards)
                       for k, s in enumerate(fed)),
@@ -124,7 +124,7 @@ def client_results(shards: list[list[ClientShard]],
                                       zip(*(p.layers for p in global_params))])
     round_rngs = [masters[f].split("client", s.client_id, "round", round_idx)
                   for f, _, s in entries]
-    for e in range(config.hyperparams.epochs):
+    for e in range(config.hyperparams.epochs if mode == FEDAVG else 0):
         sgd_epoch(trained, stack, config.hyperparams,
                   [rng.split("epoch", e) for rng in round_rngs])
 

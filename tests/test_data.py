@@ -177,6 +177,12 @@ class TestLoadCsv:
         assert ds.features.shape == (0, 2)
         assert ds.labels.shape == (0,)
 
+    def test_label_only_header_is_a_data_error(self, tmp_path):
+        path = tmp_path / "label_only.csv"
+        path.write_text("Class\n0\n1\n")
+        with pytest.raises(DataError, match="no feature columns besides 'Class'"):
+            data.load_csv(path)
+
     def test_hash_is_not_a_comment(self, tmp_path):
         path = tmp_path / "hash.csv"
         path.write_text("V1,Class\n1.0,0\n#3,1\n")

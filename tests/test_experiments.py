@@ -459,6 +459,37 @@ class TestCli:
             assert "unknown config fields" in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+    def test_unreadable_config_exit_one(self, tmp_path, capsys, kind):
+        path = tmp_path / "cfg.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not_utf8":
+            path.write_bytes(b'{"seed": "\xff"}')
+        out = tmp_path / "o"
+        rc = cli.main(["benchmark", "--config", str(path), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"config error: {path}: cannot read (")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["benchmark", "fed-vs-central", "sweep-sampling"])
+    @pytest.mark.parametrize("body, counts", [
+        ("", "0 fraud and 0 legit"), ("1.0,0\n2.0,0\n3.0,0\n", "0 fraud and 3 legit"),
+    ], ids=["header_only", "all_legit"])
+    def test_one_class_source_exit_two_before_writing(self, tmp_path, capsys,
+                                                      command, body, counts):
+        path = tmp_path / "one_class.csv"
+        path.write_text("V1,Class\n" + body)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sweep_sample_counts": [2]}))
+        out = tmp_path / "o"
+        rc = cli.main([command, "--data", str(path), "--config", str(cfg),
+                       "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}: ") and counts in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("field, value", [
         ("learning_rate", -1), ("partition_scheme", "bogus"),
         ("aggregation_mode", "bogus"), ("batch_size", 0),
@@ -480,7 +511,7 @@ class TestCli:
         ("sweep_ratios", "1:1"), ("data", 5), ("label_column", 3),
         ("sweep_sample_counts", ()), ("sweep_sample_counts", (100, 100)),
         ("sweep_ratios", ()), ("sweep_ratios", ("1:1", "1:1")),
-        ("sweep_ratios", ("1:1", "01:1")),
+        ("sweep_ratios", ("1:1", "01:1")), ("sweep_model", "bogus"),
     ])
     def test_bad_config_value_exit_one_before_writing(self, tmp_path, capsys,
                                                       field, value):
@@ -562,7 +593,8 @@ class TestCli:
         (b"V1,Caf\xe9,Class\n1.0,2.0,0\n", "not UTF-8 .*0xe9"),
         (b"V1,Class\n1.0,0\n2.0,1\ncaf\xe9,0\n", "not UTF-8 .*0xe9"),
         (b"V1,Class\n1.0,2\n", "label must be 0 or 1"),
-    ], ids=["header", "body", "bad_label"])
+        (b"Class\n0\n1\n0\n1\n", "no feature columns besides 'Class'"),
+    ], ids=["header", "body", "bad_label", "label_only"])
     def test_non_utf8_csv_exit_two(self, tmp_path, capsys, content, message):
         path = tmp_path / "bad.csv"
         path.write_bytes(content)

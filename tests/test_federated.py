@@ -129,6 +129,29 @@ class TestLocalUpdate:
         assert loss == mlp_loss(probs, ds.labels)
         assert np.array_equal(vec, mlp_backward(global_params, caches, ds.labels))
 
+    def test_fedsgd_client_results_equal_local_update_bit_for_bit(self):
+        # FedSGD clients share FedAvg's lockstep stack and train it zero
+        # epochs, so each payload is local_update at its federation's global
+        # model, bit for bit.
+        config = FedConfig(participation=0.6, aggregation_mode=FEDSGD,
+                           hyperparams=MlpHyperparams(hidden_sizes=(5, 3), epochs=2))
+        masters, active, global_params = [], [], []
+        for f, n in enumerate((700, 450)):
+            shards, _ = make_shards(n, 5, seed=10 + f, scheme="quantity_skew")
+            assert len({s.data.n_samples for s in shards}) > 1
+            masters.append(Rng(10 + f))
+            global_params.append(init_mlp_params(4, (5, 3), masters[f]))
+            active.append(federated._active_clients(shards, config, masters[f], 2))
+        got = client_results(active, global_params, config, masters, 2)
+        for fed, params, results in zip(active, global_params, got, strict=True):
+            assert len(results) == 3
+            for shard, (vec, n_k, loss) in zip(fed, results, strict=True):
+                ref_vec, ref_n, ref_loss = local_update(shard, params, FEDSGD)
+                assert np.array_equal(vec, ref_vec)
+                assert np.array_equal(np.signbit(vec), np.signbit(ref_vec))
+                assert n_k == ref_n
+                assert np.array_equal(loss, ref_loss)
+
     def test_fedavg_loss_pass_is_row_blocked(self, monkeypatch):
         n = 2 * federated.LOSS_BLOCK_ROWS + 37
         gen = np.random.default_rng(6)
