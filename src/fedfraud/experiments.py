@@ -213,7 +213,10 @@ def load_source(cfg: ExperimentConfig) -> datamod.Dataset:
 
 def _training_source(cfg: ExperimentConfig) -> datamod.Dataset:
     """load_source, refused unless it has fraud and legit rows: the training
-    commands resample it to a fraud:legit ratio."""
+    commands resample it to a fraud:legit ratio. An `out` that exists and is
+    not a directory is refused first, before the source is read."""
+    if os.path.exists(cfg.out) and not os.path.isdir(cfg.out):
+        raise ConfigError(f"out: {cfg.out!r} exists and is not a directory")
     source = load_source(cfg)
     fraud = source.fraud_count
     if not 0 < fraud < source.n_samples:
@@ -222,13 +225,21 @@ def _training_source(cfg: ExperimentConfig) -> datamod.Dataset:
     return source
 
 
-def prepare_splits(ds: datamod.Dataset, cfg: ExperimentConfig, rng: Rng):
-    """Resample ds to cfg.ratio, hold out a stratified cfg.test_fraction of
-    the kept rows as the test set, standardize both with train statistics.
-    Returns (train, test), each taken from ds once."""
-    rows = datamod.resample_ratio(ds.labels, cfg.ratio, rng.split("resample"))
-    train, test = datamod.stratified_split(ds.labels[rows], cfg.test_fraction,
-                                           rng.split("split"))
+def prepare_splits(ds: datamod.Dataset, ratio: tuple[int, int], test_fraction: float,
+                   rng: Rng):
+    """Resample ds to `ratio`, hold out a stratified `test_fraction` of the
+    kept rows as the test set, standardize both with train statistics.
+    Returns (train, test), each taken from ds once. A set without fraud or
+    legit rows is a DataError: no model can be fitted or scored on it."""
+    rows = datamod.resample_ratio(ds.labels, ratio, rng.split("resample"))
+    labels = ds.labels[rows]
+    train, test = datamod.stratified_split(labels, test_fraction, rng.split("split"))
+    for name, ids in (("train", train), ("test", test)):
+        fraud = int(labels[ids].sum())
+        if not 0 < fraud < ids.size:
+            raise DataError(f"{name} set has {fraud} fraud and {ids.size - fraud} legit "
+                            f"rows (ratio {ratio[0]}:{ratio[1]}, test_fraction "
+                            f"{test_fraction}); both classes are needed")
     return datamod.standardize(ds.take(rows[train]), ds.take(rows[test]))
 
 
@@ -323,33 +334,33 @@ def write_report_txt(path, rows):
 def write_rounds_csv(path, reports: list[federated.RoundReport],
                      round_metrics: list[dict]):
     """One row per round: its participants, train loss and the metrics dict
-    round_metrics gives it ({} leaves the metric cells empty)."""
+    round_metrics gives it."""
     header = ["round", "participants", "train_loss", "auc", "accuracy",
               "precision", "recall", "f1"]
     write_rows_csv(path, header, [
         [r.round_index, ";".join(str(i) for i in r.participant_ids), r.train_loss,
-         *(m.get(c, "") for c in header[3:])]
+         *(m[c] for c in header[3:])]
         for r, m in zip(reports, round_metrics, strict=True)])
 
 
-def _write_common(cfg: ExperimentConfig, out: str):
-    os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "config.json"), "w", encoding="utf-8") as fh:
+def _write_common(cfg: ExperimentConfig):
+    os.makedirs(cfg.out, exist_ok=True)
+    with open(os.path.join(cfg.out, "config.json"), "w", encoding="utf-8") as fh:
         fh.write(config_echo(cfg) + "\n")
 
 
 # --- runners ----------------------------------------------------------------
 
-def _run_models(cfg: ExperimentConfig, names, score_rounds: bool) -> list[dict]:
+def _run_models(cfg: ExperimentConfig, names) -> list[dict]:
     """Train `names` (mlp_fed among them) on one shared split and write
     report.csv, report.txt, rounds.csv and model_fed.json. Returns the
-    report rows, one per model in the given order. With `score_rounds`,
-    rounds.csv scores each round's global model on the test set at
-    cfg.threshold, as report.csv scores the final models."""
+    report rows, one per model in the given order. rounds.csv scores each
+    round's global model on the test set at cfg.threshold, as report.csv
+    scores the final models."""
     source = _training_source(cfg)
-    _write_common(cfg, cfg.out)
     rng = Rng(cfg.seed)
-    train, test = prepare_splits(source, cfg, rng)
+    train, test = prepare_splits(source, cfg.ratio, cfg.test_fraction, rng)
+    _write_common(cfg)
 
     rows = []
     for name in names:
@@ -358,10 +369,8 @@ def _run_models(cfg: ExperimentConfig, names, score_rounds: bool) -> list[dict]:
                      **metrics.summarize(scores, test.labels, cfg.threshold)})
         if name == "mlp_fed":
             fed_reports, fed_params = reports, params
-    round_metrics = [
-        metrics.summarize(models.mlp_forward(r.params, test.features)[0],
-                          test.labels, cfg.threshold) if score_rounds else {}
-        for r in fed_reports]
+    round_metrics = [metrics.summarize(models.mlp_forward(r.params, test.features)[0],
+                                       test.labels, cfg.threshold) for r in fed_reports]
 
     write_rows_csv(os.path.join(cfg.out, "report.csv"), REPORT_COLUMNS,
                    [[r[c] for c in REPORT_COLUMNS] for r in rows])
@@ -373,15 +382,13 @@ def _run_models(cfg: ExperimentConfig, names, score_rounds: bool) -> list[dict]:
 
 def run_benchmark(cfg: ExperimentConfig) -> list[dict]:
     """Train all benchmark models on one shared split; write report files."""
-    return _run_models(cfg, BENCHMARK_MODELS, score_rounds=False)
+    return _run_models(cfg, BENCHMARK_MODELS)
 
 
 def run_fed_vs_central(cfg: ExperimentConfig) -> dict:
-    """Same MLP trained centrally and federatedly; report the AUC delta and
-    the per-round convergence series (rounds.csv scores every round)."""
+    """Same MLP trained centrally and federatedly; report the AUC delta."""
     central, fed = ({k: v for k, v in row.items() if k != "model"}
-                    for row in _run_models(cfg, ("mlp_central", "mlp_fed"),
-                                           score_rounds=True))
+                    for row in _run_models(cfg, ("mlp_central", "mlp_fed")))
     return {
         "central": central,
         "federated": fed,
@@ -396,7 +403,7 @@ def _sweep_cells(source: datamod.Dataset, cfg: ExperimentConfig,
     drawn when the consumer asks for it; rng.seed is the cell's seed. A
     cell's pool is about sample_count rows at the source's class mix (at
     least one of each class present), by stratified_draw on rng.split("sub")."""
-    split_cfg = dataclasses.replace(cfg, ratio=parse_ratio(ratio_name))
+    ratio = parse_ratio(ratio_name)
 
     def pool_count(n_c):
         return min(max(int(round(sample_count * n_c / source.n_samples)), 1), n_c)
@@ -404,20 +411,20 @@ def _sweep_cells(source: datamod.Dataset, cfg: ExperimentConfig,
     for rep in range(cfg.sweep_repeats):
         rng = Rng(cfg.seed + rep).split("sweep", sample_count, ratio_name)
         pool = datamod.stratified_draw(source.labels, pool_count, rng.split("sub"))
-        train, test = prepare_splits(source.take(pool), split_cfg, rng)
+        train, test = prepare_splits(source.take(pool), ratio, cfg.test_fraction, rng)
         yield train, test, rng
 
 
 def _sweep_point(source: datamod.Dataset, cfg: ExperimentConfig,
                  sample_count: int, ratio_name: str) -> list[float]:
     """The test AUC of each repeat of one grid point, trained in one
-    train_model call. A DomainError names the grid point."""
+    train_model call. A DomainError or DataError names the grid point."""
     try:
         fits = train_model(cfg.sweep_model, cfg, _sweep_cells(
             source, cfg, sample_count, ratio_name))
         return [metrics.roc_auc(scores, labels)[1] for scores, labels, _, _ in fits]
-    except DomainError as exc:
-        raise DomainError(f"sample_count {sample_count}, ratio {ratio_name}: {exc}") from exc
+    except (DomainError, DataError) as exc:
+        raise type(exc)(f"sample_count {sample_count}, ratio {ratio_name}: {exc}") from exc
 
 
 def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
@@ -426,7 +433,8 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
     A sample_count larger than the source is skipped with a warning, and a
     grid where every one is larger is a DataError. The grid points run in
     up to `workers` forked processes, largest sample_count first
-    (_fork_map); the rows and sweep.csv do not depend on `workers`."""
+    (_fork_map); the rows and sweep.csv do not depend on `workers`. Nothing
+    is written until every grid point has trained."""
     source = _training_source(cfg)
     oversized = [n for n in cfg.sweep_sample_counts if n > source.n_samples]
     if len(oversized) == len(cfg.sweep_sample_counts):
@@ -437,11 +445,11 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
                       f"{source.n_samples}; skipping")
     points = [(sample_count, ratio_name) for sample_count in cfg.sweep_sample_counts
               if sample_count not in oversized for ratio_name in cfg.sweep_ratios]
-    _write_common(cfg, cfg.out)
 
     # Largest first, so that no big point starts last and runs alone.
     aucs = _fork_map(lambda i: _sweep_point(source, cfg, *points[i]), len(points),
                      workers, sorted(range(len(points)), key=lambda i: -points[i][0]))
+    _write_common(cfg)
     rows = [{"sample_count": sample_count, "ratio": ratio_name,
              "seed": cfg.seed + rep, "auc": auc}
             for (sample_count, ratio_name), point in zip(points, aucs, strict=True)
@@ -516,6 +524,8 @@ def _run_forked(i: int):
 
 
 def run_gen_synthetic(cfg: ExperimentConfig, path: str) -> datamod.Dataset:
+    if os.path.isdir(path):
+        raise ConfigError(f"--output: {path!r} is a directory")
     ds = load_source(dataclasses.replace(cfg, data=None))
     if cfg.label_column in ds.feature_names:
         raise ConfigError(f"label_column: {cfg.label_column!r} names a feature "

@@ -122,7 +122,7 @@ class TestFedVsCentral:
 class TestCommandsAgree:
     def test_fed_vs_central_equals_benchmark_mlp_rows(self, tmp_path):
         # Both commands train mlp_central and mlp_fed on the same split with
-        # the same seeds; only fed-vs-central scores the test set per round.
+        # the same seeds, and both score the test set per round.
         cfg = ExperimentConfig(**fast_overrides(tmp_path, seed=4))
         bench = dataclasses.replace(cfg, out=str(tmp_path / "bench"))
         fvc = dataclasses.replace(cfg, out=str(tmp_path / "fvc"))
@@ -142,7 +142,7 @@ class TestCommandsAgree:
         fvc_rounds = read_csv(fvc.out, "rounds.csv")
         assert len(bench_rounds) == len(fvc_rounds) == cfg.rounds + 1
         assert [r[:3] for r in fvc_rounds] == [r[:3] for r in bench_rounds]
-        assert all(r[3:] == [""] * 5 for r in bench_rounds[1:])
+        assert fvc_rounds == bench_rounds
         assert all("" not in r for r in fvc_rounds)
 
 
@@ -349,7 +349,8 @@ class TestSplitStreamsPinned:
 
     def test_ulb_shaped_file_at_1_to_100(self, tmp_path):
         cfg = ExperimentConfig(**fast_overrides(tmp_path, seed=5, ratio=(1, 100)))
-        train, test = experiments.prepare_splits(_ulb_shaped_source(tmp_path), cfg, Rng(5))
+        train, test = experiments.prepare_splits(_ulb_shaped_source(tmp_path), cfg.ratio,
+                                                   cfg.test_fraction, Rng(5))
         assert (train.n_samples, train.fraud_count) == (4040, 40)
         assert (test.n_samples, test.fraud_count) == (1010, 10)
         assert _split_digests(train, test) == ULB_DIGESTS
@@ -360,7 +361,8 @@ class TestSplitStreamsPinned:
         source = experiments.load_source(cfg)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            train, test = experiments.prepare_splits(source, cfg, Rng(2))
+            train, test = experiments.prepare_splits(source, cfg.ratio, cfg.test_fraction,
+                                                     Rng(2))
         assert any("keeping all of them" in str(w.message) for w in caught) == warns
         assert _split_digests(train, test) == SYNTHETIC_DIGESTS[ratio]
 
@@ -489,6 +491,57 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {path}: ") and counts in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["benchmark"], "test set has 0 fraud and 0 legit rows (ratio 1:1, "
+                        "test_fraction 0.2); both classes are needed"),
+        (["benchmark", "--ratio", "1:100"], "test set has 0 fraud and 40 legit rows "
+                                            "(ratio 1:100, test_fraction 0.2)"),
+        (["fed-vs-central"], "test set has 0 fraud and 0 legit rows (ratio 1:1,"),
+        (["sweep-sampling"], "sample_count 500, ratio 1:1: test set has 0 fraud and "
+                             "0 legit rows (ratio 1:1, test_fraction 0.2)"),
+    ], ids=["benchmark", "benchmark_1_to_100", "fed_vs_central", "sweep_point"])
+    def test_unusable_split_exit_two_before_writing(self, tmp_path, capsys, argv, message):
+        # Two fraud rows in 3 000: the resampled test set cannot hold both
+        # classes, so no model could be scored on it.
+        gen = np.random.default_rng(3)
+        labels = np.zeros(3000, dtype=np.intp)
+        labels[[10, 2000]] = 1
+        path = tmp_path / "two_fraud.csv"
+        data.write_csv(data.Dataset(gen.standard_normal((3000, 5)), labels), path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epochs": 2, "rounds": 2, "k_clients": 2,
+                                   "local_epochs": 1, "sweep_sample_counts": [500],
+                                   "sweep_repeats": 1}))
+        out = tmp_path / "o"
+        rc = cli.main([*argv, "--data", str(path), "--config", str(cfg),
+                       "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["benchmark", "fed-vs-central", "sweep-sampling"])
+    def test_out_naming_a_file_exit_one_before_reading(self, tmp_path, capsys, command):
+        # The source is missing too: the out check comes before it is read.
+        out = tmp_path / "o"
+        out.write_text("keep")
+        rc = cli.main([command, "--data", str(tmp_path / "missing.csv"),
+                       "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"config error: out: {str(out)!r} exists and is not a directory\n")
+        assert out.read_text() == "keep"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["o"]
+
+    def test_gen_synthetic_output_naming_a_directory_exit_one(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        out.mkdir()
+        rc = cli.main(["gen-synthetic", "--output", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"config error: --output: {str(out)!r} is a directory\n")
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("field, value", [
         ("learning_rate", -1), ("partition_scheme", "bogus"),
@@ -633,14 +686,15 @@ class TestCli:
         assert re.search("mlp_fed: .* diverged", capsys.readouterr().err)
         assert not (out / "sweep.csv").exists()
 
-    def test_rounds_csv_scores_at_threshold_like_report(self, tmp_path):
+    @pytest.mark.parametrize("command", ["benchmark", "fed-vs-central"])
+    def test_rounds_csv_scores_at_threshold_like_report(self, tmp_path, command):
         # The last round's global model is the final federated model, so its
         # rounds.csv row must equal report.csv's mlp_fed row at any threshold.
         path = tmp_path / "thr.json"
         path.write_text(json.dumps(dict(threshold=0.2, synthetic_n=3000,
                                         rounds=3, epochs=3)))
         out = tmp_path / "o"
-        rc = cli.main(["fed-vs-central", "--seed", "1", "--config", str(path),
+        rc = cli.main([command, "--seed", "1", "--config", str(path),
                        "--out", str(out)])
         assert rc == 0
         with open(out / "rounds.csv", newline="") as fh:
