@@ -130,7 +130,7 @@ def main(argv=None) -> int:
     except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:  # exit 3: a diverged fit, or any other fault
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
 

@@ -205,9 +205,6 @@ def stratified_split(labels: np.ndarray, test_fraction: float, rng: Rng):
     rng.split("split"), so per-class proportions hold within ±1."""
     if not 0.0 < test_fraction < 1.0:
         raise DomainError(f"test_fraction must be in (0,1), got {test_fraction}")
-    class_counts = np.bincount(labels, minlength=2)
-    if class_counts.min() == 0:
-        raise DomainError(f"class {np.argmin(class_counts)} has no samples, cannot stratify")
     test = stratified_draw(labels, lambda n_c: int(round(test_fraction * n_c)),
                            rng.split("split"))
     return np.delete(np.arange(labels.size), test), test
@@ -218,16 +215,14 @@ def resample_ratio(labels: np.ndarray, fraud_to_legit: tuple[int, int],
     """Row ids that undersample the majority class to a fraud:legit target
     ratio, in shuffled order.
 
-    All fraud rows are kept; legit rows are drawn uniformly without
-    replacement, capped at what is available.
+    All fraud rows are kept (with none, no ids are returned); legit rows are
+    drawn uniformly without replacement, capped at what is available.
     """
     fraud_part, legit_part = fraud_to_legit
     if fraud_part <= 0 or legit_part <= 0:
         raise DomainError(f"ratio parts must be positive, got {fraud_to_legit}")
     fraud_idx = np.flatnonzero(labels == 1)
     legit_idx = np.flatnonzero(labels == 0)
-    if fraud_idx.size == 0:
-        raise DomainError("resample_ratio requires at least one fraud sample")
     want_legit = int(round(fraud_idx.size * legit_part / fraud_part))
     if want_legit > legit_idx.size:
         warnings.warn(

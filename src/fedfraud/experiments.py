@@ -111,6 +111,8 @@ class ExperimentConfig:
              f"expected one of {', '.join(datamod.PARTITION_SCHEMES)}"),
             ("seed", self.seed >= 0, "must be >= 0"),
             ("k_clients", self.k_clients >= 1, "must be >= 1"),
+            # fed_config() checks epochs in MlpHyperparams first, whose message
+            # would name `epochs`: this row names the field that is wrong.
             ("local_epochs", self.local_epochs >= 1, "must be >= 1"),
             ("dt_max_depth", self.dt_max_depth is None or self.dt_max_depth >= 0,
              "must be >= 0 or null"),
@@ -140,7 +142,6 @@ class ExperimentConfig:
         try:
             self.hyperparams()
             self.fed_config()
-            self.decision_tree()
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
 

@@ -306,10 +306,14 @@ class TestStratifiedSplit:
             assert train_rows | test_rows == all_rows
             assert not (train_rows & test_rows)
 
-    def test_single_class_rejected(self):
+    def test_single_class_splits_its_rows(self):
+        # A missing class draws no rows; prepare_splits refuses such a set.
         for cls in (0, 1):
-            with pytest.raises(DomainError, match=f"class {1 - cls} has no samples"):
-                data.stratified_split(np.full(10, cls, dtype=np.intp), 0.2, Rng(0))
+            labels = np.full(10, cls, dtype=np.intp)
+            train, test = data.stratified_split(labels, 0.2, Rng(0))
+            assert (train.size, test.size) == (8, 2)
+            assert np.array_equal(np.sort(np.concatenate([train, test])), np.arange(10))
+            assert np.all(labels[train] == cls) and np.all(labels[test] == cls)
 
     def test_bad_fraction(self, imbalanced):
         with pytest.raises(DomainError):
@@ -332,10 +336,11 @@ class TestResampleRatio:
                 data.resample_ratio(imbalanced.labels, (1, 10**6), Rng(0)))
         assert out.n_samples == imbalanced.n_samples
 
-    def test_no_fraud_rejected(self):
-        ds = data.Dataset(np.ones((5, 1)), np.zeros(5, dtype=np.intp))
-        with pytest.raises(DomainError):
-            data.resample_ratio(ds.labels, (1, 1), Rng(0))
+    def test_no_fraud_gives_no_ids_and_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ids = data.resample_ratio(np.zeros(5, dtype=np.intp), (1, 1), Rng(0))
+        assert ids.size == 0
 
     def test_never_duplicates_rows(self, imbalanced):
         out = imbalanced.take(data.resample_ratio(imbalanced.labels, (1, 2), Rng(3)))

@@ -492,18 +492,25 @@ class TestCli:
         assert err.startswith(f"data error: {path}: ") and counts in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv, message", [
-        (["benchmark"], "test set has 0 fraud and 0 legit rows (ratio 1:1, "
-                        "test_fraction 0.2); both classes are needed"),
-        (["benchmark", "--ratio", "1:100"], "test set has 0 fraud and 40 legit rows "
-                                            "(ratio 1:100, test_fraction 0.2)"),
-        (["fed-vs-central"], "test set has 0 fraud and 0 legit rows (ratio 1:1,"),
-        (["sweep-sampling"], "sample_count 500, ratio 1:1: test set has 0 fraud and "
-                             "0 legit rows (ratio 1:1, test_fraction 0.2)"),
-    ], ids=["benchmark", "benchmark_1_to_100", "fed_vs_central", "sweep_point"])
-    def test_unusable_split_exit_two_before_writing(self, tmp_path, capsys, argv, message):
-        # Two fraud rows in 3 000: the resampled test set cannot hold both
-        # classes, so no model could be scored on it.
+    @pytest.mark.parametrize("argv, extra, message", [
+        (["benchmark"], {}, "test set has 0 fraud and 0 legit rows (ratio 1:1, "
+                            "test_fraction 0.2); both classes are needed"),
+        (["benchmark", "--ratio", "1:100"], {}, "test set has 0 fraud and 40 legit rows "
+                                                "(ratio 1:100, test_fraction 0.2)"),
+        (["benchmark", "--ratio", "100:1"], {}, "train set has 2 fraud and 0 legit rows "
+                                                "(ratio 100:1, test_fraction 0.2)"),
+        (["fed-vs-central"], {}, "test set has 0 fraud and 0 legit rows (ratio 1:1,"),
+        (["sweep-sampling"], {}, "sample_count 500, ratio 1:1: test set has 0 fraud and "
+                                 "0 legit rows (ratio 1:1, test_fraction 0.2)"),
+        (["sweep-sampling"], {"sweep_ratios": ["100:1"]},
+         "sample_count 500, ratio 100:1: train set has 1 fraud and 0 legit rows "
+         "(ratio 100:1, test_fraction 0.2)"),
+    ], ids=["benchmark", "benchmark_1_to_100", "benchmark_100_to_1", "fed_vs_central",
+            "sweep_point", "sweep_point_100_to_1"])
+    def test_unusable_split_exit_two_before_writing(self, tmp_path, capsys, argv, extra,
+                                                    message):
+        # Two fraud rows in 3 000: a resampled train or test set cannot hold
+        # both classes, so no model could be fitted or scored on it.
         gen = np.random.default_rng(3)
         labels = np.zeros(3000, dtype=np.intp)
         labels[[10, 2000]] = 1
@@ -512,7 +519,7 @@ class TestCli:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"epochs": 2, "rounds": 2, "k_clients": 2,
                                    "local_epochs": 1, "sweep_sample_counts": [500],
-                                   "sweep_repeats": 1}))
+                                   "sweep_repeats": 1, **extra}))
         out = tmp_path / "o"
         rc = cli.main([*argv, "--data", str(path), "--config", str(cfg),
                        "--out", str(out)])
