@@ -62,7 +62,7 @@ BENCHMARK_MODELS = ("lr", "dt", "mlp_central", "mlp_fed")
 @dataclass
 class ExperimentConfig:
     data: str | None = None            # CSV path; None -> synthetic source
-    label_column: str = "Class"
+    label_column: str = datamod.DEFAULT_LABEL_COLUMN
     seed: int = 0
     out: str = "out"
     test_fraction: float = 0.2
@@ -110,6 +110,7 @@ class ExperimentConfig:
             ("partition_scheme", self.partition_scheme in datamod.PARTITION_SCHEMES,
              f"expected one of {', '.join(datamod.PARTITION_SCHEMES)}"),
             ("seed", self.seed >= 0, "must be >= 0"),
+            ("out", self.out != "", "must not be empty"),
             ("k_clients", self.k_clients >= 1, "must be >= 1"),
             # fed_config() checks epochs in MlpHyperparams first, whose message
             # would name `epochs`: this row names the field that is wrong.
@@ -140,8 +141,7 @@ class ExperimentConfig:
             if not ok:
                 raise ConfigError(f"{name}: {rule}, got {getattr(self, name)!r}")
         try:
-            self.hyperparams()
-            self.fed_config()
+            self.fed_config()  # builds self.hyperparams() first
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -152,9 +152,6 @@ class ExperimentConfig:
             batch_size=self.batch_size,
             epochs=self.epochs,
         )
-
-    def decision_tree(self) -> models.DecisionTree:
-        return models.DecisionTree(self.dt_max_depth, self.dt_min_samples_leaf)
 
     def fed_config(self) -> federated.FedConfig:
         return federated.FedConfig(
@@ -197,8 +194,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> ExperimentCo
 
 
 def config_echo(cfg: ExperimentConfig) -> str:
-    d = dataclasses.asdict(cfg)
-    return json.dumps(d, sort_keys=True, indent=2, default=list)
+    return json.dumps(dataclasses.asdict(cfg), sort_keys=True, indent=2)
 
 
 # --- shared pipeline --------------------------------------------------------
@@ -214,10 +210,14 @@ def load_source(cfg: ExperimentConfig) -> datamod.Dataset:
 
 def _training_source(cfg: ExperimentConfig) -> datamod.Dataset:
     """load_source, refused unless it has fraud and legit rows: the training
-    commands resample it to a fraud:legit ratio. An `out` that exists and is
-    not a directory is refused first, before the source is read."""
-    if os.path.exists(cfg.out) and not os.path.isdir(cfg.out):
-        raise ConfigError(f"out: {cfg.out!r} exists and is not a directory")
+    commands resample it to a fraud:legit ratio. An `out` whose nearest
+    existing part is not a directory is refused first, before the source
+    is read."""
+    part = cfg.out
+    while part and not os.path.lexists(part):
+        part = os.path.dirname(part)
+    if part and not os.path.isdir(part):
+        raise ConfigError(f"out: {part!r} exists and is not a directory")
     source = load_source(cfg)
     fraud = source.fraud_count
     if not 0 < fraud < source.n_samples:
@@ -285,7 +285,7 @@ def _fit_central(name: str, train: datamod.Dataset, cfg: ExperimentConfig, rng: 
     if name == "lr":
         return models.LogisticRegression(cfg.hyperparams()).fit(train, rng.split("lr"))
     if name == "dt":
-        return cfg.decision_tree().fit(train)
+        return models.DecisionTree(cfg.dt_max_depth, cfg.dt_min_samples_leaf).fit(train)
     return models.MlpClassifier(cfg.hyperparams()).fit(train, rng.split("mlp"))
 
 
@@ -353,16 +353,14 @@ def _write_common(cfg: ExperimentConfig):
 # --- runners ----------------------------------------------------------------
 
 def _run_models(cfg: ExperimentConfig, names) -> list[dict]:
-    """Train `names` (mlp_fed among them) on one shared split and write
-    report.csv, report.txt, rounds.csv and model_fed.json. Returns the
-    report rows, one per model in the given order. rounds.csv scores each
-    round's global model on the test set at cfg.threshold, as report.csv
-    scores the final models."""
+    """Train `names` (mlp_fed among them) on one shared split, then write
+    config.json, report.csv, report.txt, rounds.csv and model_fed.json.
+    Returns the report rows, one per model in the given order. rounds.csv
+    scores each round's global model on the test set at cfg.threshold, as
+    report.csv scores the final models."""
     source = _training_source(cfg)
     rng = Rng(cfg.seed)
     train, test = prepare_splits(source, cfg.ratio, cfg.test_fraction, rng)
-    _write_common(cfg)
-
     rows = []
     for name in names:
         [(scores, _, reports, params)] = train_model(name, cfg, [(train, test, rng)])
@@ -373,6 +371,7 @@ def _run_models(cfg: ExperimentConfig, names) -> list[dict]:
     round_metrics = [metrics.summarize(models.mlp_forward(r.params, test.features)[0],
                                        test.labels, cfg.threshold) for r in fed_reports]
 
+    _write_common(cfg)
     write_rows_csv(os.path.join(cfg.out, "report.csv"), REPORT_COLUMNS,
                    [[r[c] for c in REPORT_COLUMNS] for r in rows])
     write_report_txt(os.path.join(cfg.out, "report.txt"), rows)

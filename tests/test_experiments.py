@@ -541,6 +541,23 @@ class TestCli:
         assert out.read_text() == "keep"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["o"]
 
+    @pytest.mark.parametrize("command", ["benchmark", "fed-vs-central", "sweep-sampling"])
+    @pytest.mark.parametrize("out, message", [
+        ("", "out: must not be empty, got ''"),
+        (os.path.join("f", "sub"), "out: 'f' exists and is not a directory"),
+    ], ids=["empty", "under_a_file"])
+    def test_unusable_out_exit_one_before_reading(self, tmp_path, monkeypatch, capsys,
+                                                  command, out, message):
+        # No directory can be made at `out`. The source is missing too: the
+        # out check comes before it is read, not after training.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "f").write_text("keep")
+        rc = cli.main([command, "--data", "missing.csv", "--out", out])
+        assert rc == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert (tmp_path / "f").read_text() == "keep"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f"]
+
     def test_gen_synthetic_output_naming_a_directory_exit_one(self, tmp_path, capsys):
         out = tmp_path / "d"
         out.mkdir()
@@ -677,7 +694,7 @@ class TestCli:
         assert rc == 3
         assert re.search("mlp_central: every test score is .* diverged",
                          capsys.readouterr().err)
-        assert not (out / "report.csv").exists()
+        assert not out.exists()
 
     def test_diverged_sweep_cell_exit_three_before_sweep_csv(self, tmp_path, capsys):
         # At this learning rate every federated cell scores all test rows 0.
@@ -691,7 +708,7 @@ class TestCli:
                        "--out", str(out)])
         assert rc == 3
         assert re.search("mlp_fed: .* diverged", capsys.readouterr().err)
-        assert not (out / "sweep.csv").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["benchmark", "fed-vs-central"])
     def test_rounds_csv_scores_at_threshold_like_report(self, tmp_path, command):
