@@ -6,8 +6,12 @@ mutates its input. Everything that draws randomness takes an explicit Rng.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+import os
+import stat
+import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -91,6 +95,15 @@ def load_csv(path, label_column: str = DEFAULT_LABEL_COLUMN) -> Dataset:
     ignored. A rejected file is rescanned so the DataError names its 1-based
     row (blank lines count). The file is UTF-8 text, after an optional
     byte-order mark; any other file is a DataError too.
+
+    A regular file is parsed once per content: its parsed table is kept
+    beside it in a hidden sidecar, `.<name>.fedfraud.npy` (the table as an
+    .npy file, then its key: a format tag and the SHA-256 of the file's
+    bytes and of `label_column`), written once a parse has passed every
+    check. A later load of the same bytes reads the sidecar instead of
+    parsing and runs the same checks on it. A sidecar that cannot be read
+    or does not match is parsed over, and one that cannot be written is
+    skipped.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -109,16 +122,20 @@ def load_csv(path, label_column: str = DEFAULT_LABEL_COLUMN) -> Dataset:
             if not feat_idx:
                 raise DataError(f"{path}: no feature columns besides {label_column!r}")
 
-            try:
-                with warnings.catch_warnings():
-                    # A header-only file is an empty dataset, not a warning.
-                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                    table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
-                                       usecols=feat_idx + [label_idx], dtype=np.float64,
-                                       ndmin=2)
-            except ValueError as exc:
-                _raise_first_bad_row(path, feat_idx, label_idx)
-                raise DataError(f"{path}: {exc}") from exc
+            usecols = feat_idx + [label_idx]
+            sidecar, key = _sidecar_and_key(fh, path, label_column)
+            table = _read_sidecar(sidecar, key, len(usecols))
+            parsed = table is None
+            if parsed:
+                try:
+                    with warnings.catch_warnings():
+                        # A header-only file is an empty dataset, not a warning.
+                        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                        table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
+                                           usecols=usecols, dtype=np.float64, ndmin=2)
+                except ValueError as exc:
+                    _raise_first_bad_row(path, feat_idx, label_idx)
+                    raise DataError(f"{path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         bad = exc.object[exc.start:exc.start + 1]
         raise DataError(f"{path}: not UTF-8 text (cannot decode byte 0x{bad.hex()})") from exc
@@ -127,7 +144,65 @@ def load_csv(path, label_column: str = DEFAULT_LABEL_COLUMN) -> Dataset:
     if not (np.isfinite(features).all() and np.isin(labels, (0.0, 1.0)).all()):
         _raise_first_bad_row(path, feat_idx, label_idx)
         raise DataError(f"{path}: non-finite feature cell or label not 0 or 1")
+    if parsed and sidecar is not None:
+        _write_sidecar(sidecar, key, table)
     return Dataset(features, labels.astype(np.intp), tuple(header[i] for i in feat_idx))
+
+
+_SIDECAR_TAG = b"fedfraud-table-1"
+
+
+def _sidecar_and_key(fh, path, label_column: str):
+    """The sidecar path of the CSV open as `fh` and the key its table is
+    kept under; (None, None) if it is not a regular file, or if `path` no
+    longer names the file open as `fh`."""
+    import hashlib  # here, so that importing the package does not pay for it
+    if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        return None, None
+    digest = hashlib.sha256()
+    with open(path, "rb") as raw:
+        if not os.path.sameopenfile(raw.fileno(), fh.fileno()):
+            return None, None
+        while chunk := raw.read(1 << 20):
+            digest.update(chunk)
+    label_digest = hashlib.sha256(label_column.encode("utf-8")).hexdigest()
+    key = b" ".join((_SIDECAR_TAG, digest.hexdigest().encode(), label_digest.encode()))
+    folder, name = os.path.split(os.fspath(path))
+    return os.path.join(folder, f".{name}.fedfraud.npy"), key
+
+
+def _read_sidecar(sidecar, key: bytes, n_cols: int):
+    """The (rows, n_cols) float64 table kept in `sidecar` under `key`, or
+    None if there is none (no sidecar, another key, a short or foreign file)."""
+    if sidecar is None:
+        return None
+    try:
+        with open(sidecar, "rb") as fh:
+            fh.seek(-len(key), os.SEEK_END)
+            if fh.read() != key:
+                return None
+            fh.seek(0)
+            table = np.load(fh, allow_pickle=False)
+    except (OSError, ValueError, EOFError):
+        return None
+    if table.dtype == np.float64 and table.ndim == 2 and table.shape[1] == n_cols:
+        return table
+    return None
+
+
+def _write_sidecar(sidecar, key: bytes, table: np.ndarray) -> None:
+    """Keep `table` in `sidecar` under `key`: written to a temporary file
+    beside it, then renamed over it. Any OSError (a read-only folder, a
+    full disk) skips the sidecar."""
+    tmp = f"{sidecar}.{os.getpid()}-{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            np.save(fh, table)
+            fh.write(key)
+        os.replace(tmp, sidecar)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
 
 
 def _cell_float(cell: str) -> float:

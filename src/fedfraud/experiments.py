@@ -208,16 +208,23 @@ def load_source(cfg: ExperimentConfig) -> datamod.Dataset:
                                   rng)
 
 
+def _refuse_unless_under_a_directory(name: str, path: str) -> None:
+    """ConfigError naming `name` unless the nearest existing part of `path`
+    (itself, else its closest existing parent) is a directory, or none of
+    it exists yet."""
+    part = path
+    while part and not os.path.lexists(part):
+        part = os.path.dirname(part)
+    if part and not os.path.isdir(part):
+        raise ConfigError(f"{name}: {part!r} exists and is not a directory")
+
+
 def _training_source(cfg: ExperimentConfig) -> datamod.Dataset:
     """load_source, refused unless it has fraud and legit rows: the training
     commands resample it to a fraud:legit ratio. An `out` whose nearest
     existing part is not a directory is refused first, before the source
     is read."""
-    part = cfg.out
-    while part and not os.path.lexists(part):
-        part = os.path.dirname(part)
-    if part and not os.path.isdir(part):
-        raise ConfigError(f"out: {part!r} exists and is not a directory")
+    _refuse_unless_under_a_directory("out", cfg.out)
     source = load_source(cfg)
     fraud = source.fraud_count
     if not 0 < fraud < source.n_samples:
@@ -524,8 +531,14 @@ def _run_forked(i: int):
 
 
 def run_gen_synthetic(cfg: ExperimentConfig, path: str) -> datamod.Dataset:
+    """Draw the synthetic source and write it to the CSV `path`. A `path`
+    that is empty, a directory, or under an existing non-directory is
+    refused before anything is drawn."""
+    if not path:
+        raise ConfigError("--output: must not be empty, got ''")
     if os.path.isdir(path):
         raise ConfigError(f"--output: {path!r} is a directory")
+    _refuse_unless_under_a_directory("--output", os.path.dirname(path))
     ds = load_source(dataclasses.replace(cfg, data=None))
     if cfg.label_column in ds.feature_names:
         raise ConfigError(f"label_column: {cfg.label_column!r} names a feature "

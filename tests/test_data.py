@@ -1,5 +1,7 @@
 import csv
 import hashlib
+import io
+import os
 import tempfile
 import tracemalloc
 import warnings
@@ -70,11 +72,43 @@ def ulb_like_csv(tmp_path):
     return path
 
 
+def sidecar_of(path):
+    return path.with_name(f".{path.name}.fedfraud.npy")
+
+
+def wide_csv(tmp_path):
+    """A 20 000 x 31 file and its table (features, then a 0/1 label)."""
+    rows, cols = 20_000, 31
+    path = tmp_path / "wide.csv"
+    table = np.random.default_rng(0).standard_normal((rows, cols))
+    table[:, -1] = np.arange(rows) % 2
+    np.savetxt(path, table, delimiter=",", fmt="%.15g",
+               header=",".join([f"V{i}" for i in range(cols - 1)] + ["Class"]),
+               comments="")
+    return path, table
+
+
+def traced_peak_load(path):
+    tracemalloc.start()
+    try:
+        ds = data.load_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return ds, peak
+
+
 @pytest.fixture
 def small_csv(tmp_path):
     path = tmp_path / "small.csv"
     path.write_text("V1,V2,Class\n1.0,2.0,0\n3.0,4.0,1\n5.0,6.0,0\n")
     return path
+
+
+def npy_bytes(array):
+    buf = io.BytesIO()
+    np.save(buf, array, allow_pickle=True)
+    return buf.getvalue()
 
 
 @pytest.fixture
@@ -152,21 +186,122 @@ class TestLoadCsv:
 
     def test_peak_memory_near_the_parsed_table(self, tmp_path):
         # The features are a view of the one parsed table: no second copy.
-        rows, cols = 20_000, 31
-        path = tmp_path / "wide.csv"
-        table = np.random.default_rng(0).standard_normal((rows, cols))
-        table[:, -1] = np.arange(rows) % 2
-        np.savetxt(path, table, delimiter=",", fmt="%.15g",
-                   header=",".join([f"V{i}" for i in range(cols - 1)] + ["Class"]),
-                   comments="")
-        tracemalloc.start()
-        try:
-            ds = data.load_csv(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert ds.features.shape == (rows, cols - 1)
+        path, table = wide_csv(tmp_path)
+        ds, peak = traced_peak_load(path)
+        assert ds.features.shape == (table.shape[0], table.shape[1] - 1)
         assert peak <= 1.5 * table.nbytes, peak / table.nbytes
+
+    def test_peak_memory_near_the_table_read_from_the_sidecar(self, tmp_path):
+        path, table = wide_csv(tmp_path)
+        data.load_csv(path)
+        assert sidecar_of(path).is_file()
+        ds, peak = traced_peak_load(path)
+        assert ds.features.shape == (table.shape[0], table.shape[1] - 1)
+        assert peak <= 1.5 * table.nbytes, peak / table.nbytes
+
+    def test_warm_load_reads_the_sidecar_bit_equal_to_the_parse(self, ulb_like_csv,
+                                                                monkeypatch):
+        cold = data.load_csv(ulb_like_csv)
+        assert sidecar_of(ulb_like_csv).is_file()
+
+        def no_parse(*args, **kwargs):
+            raise AssertionError("parsed a file whose sidecar matches")
+
+        monkeypatch.setattr(data.np, "loadtxt", no_parse)
+        warm = data.load_csv(ulb_like_csv)
+        assert_bit_equal(warm, cold)
+        assert_bit_equal(warm, reference_load_csv(ulb_like_csv))
+
+    def test_same_size_edit_with_the_old_mtime_loads_the_new_values(self, small_csv):
+        data.load_csv(small_csv)
+        before = os.stat(small_csv)
+        small_csv.write_text("V1,V2,Class\n1.0,2.0,0\n3.0,4.0,1\n5.0,7.0,0\n")
+        os.utime(small_csv, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = os.stat(small_csv)
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        ds = data.load_csv(small_csv)
+        assert np.array_equal(ds.features, [[1, 2], [3, 4], [5, 7]])
+
+    @pytest.mark.parametrize("spoil", [
+        lambda good, key: good[:-5],
+        lambda good, key: b"not a table",
+        lambda good, key: b"",
+        lambda good, key: good[:(len(good) - len(key)) // 2] + key,
+        lambda good, key: npy_bytes(np.zeros((3, 2))) + key,
+        lambda good, key: npy_bytes(np.array([None, 1.0], dtype=object)) + key,
+        lambda good, key: npy_bytes(np.zeros(3)) + key,
+    ], ids=["truncated", "garbage", "empty", "short_table", "other_shape",
+            "pickled", "one_dimensional"])
+    def test_unusable_sidecar_is_parsed_over_and_rewritten(self, small_csv, spoil):
+        cold = data.load_csv(small_csv)
+        sidecar = sidecar_of(small_csv)
+        good = sidecar.read_bytes()
+        # The sidecar is an .npy file (np.load ignores the key after it).
+        key = good[len(npy_bytes(np.load(sidecar))):]
+        assert key.startswith(b"fedfraud-table-")
+        sidecar.write_bytes(spoil(good, key))
+        assert_bit_equal(data.load_csv(small_csv), cold)
+        assert sidecar.read_bytes() == good
+
+    def test_unwritable_sidecar_path_loads(self, small_csv):
+        # Root may write anywhere, so a directory stands at the sidecar path.
+        sidecar_of(small_csv).mkdir()
+        first = data.load_csv(small_csv)
+        assert_bit_equal(data.load_csv(small_csv), first)
+        assert sidecar_of(small_csv).is_dir()
+        assert sorted(p.name for p in small_csv.parent.iterdir()) == [
+            sidecar_of(small_csv).name, small_csv.name]
+
+    def test_file_replaced_while_loading_leaves_no_sidecar(self, small_csv, monkeypatch):
+        # The parse reads the file that was opened; the hash would read its
+        # replacement, so no sidecar may pair the two.
+        real_reader = csv.reader
+
+        def replace_then_read(fh):
+            monkeypatch.setattr(csv, "reader", real_reader)
+            new = small_csv.with_name("new.csv")
+            new.write_text("V1,V2,Class\n9.0,9.0,1\n8.0,8.0,0\n")
+            os.replace(new, small_csv)
+            return real_reader(fh)
+
+        monkeypatch.setattr(csv, "reader", replace_then_read)
+        ds = data.load_csv(small_csv)
+        assert np.array_equal(ds.features, [[1, 2], [3, 4], [5, 6]])
+        assert not sidecar_of(small_csv).exists()
+        assert np.array_equal(data.load_csv(small_csv).features, [[9, 9], [8, 8]])
+
+    def test_other_label_column_on_the_same_file(self, tmp_path):
+        path = tmp_path / "two_labels.csv"
+        path.write_text("a,b,Class\n1.5,0,1\n2.5,1,0\n3.5,1,1\n")
+        for label in ("Class", "b", "Class", "b"):
+            assert_bit_equal(data.load_csv(path, label_column=label),
+                             reference_load_csv(path, label_column=label))
+
+    @pytest.mark.parametrize("content", [
+        b"V1,Class\n1.0,0\nxyz,1\n",
+        b"V1,V2,Class\n1.0,2.0,0\n\n3.0,4.0,1\n5.0,nan,0\n",
+        b"V1,Class\n1.0,2\n",
+        b"V1,Class\n1.0,0\n\n2.0,x\n",
+        b"V1,Class\n1.0,0\n#3,1\n",
+        b"V1,V2,Class\n1.0,2.0,0\n1_0,2.0,1\n",
+        b"a,a,Class\n1,2,0\n",
+        b"Class\n0\n1\n",
+        b"V1,Class\n1.0,0\n\xff,1\n",
+        "\ufeffClass,V1\n0,1.0\n1,xyz\n".encode("utf-8"),
+    ], ids=["bad_cell", "non_finite", "non_binary_label", "bad_label_after_blank",
+            "hash", "python_spelling", "repeated_header", "label_only",
+            "not_utf8", "bom_bad_cell"])
+    def test_bad_file_same_error_on_a_second_load_and_no_sidecar(self, tmp_path,
+                                                                 content):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(content)
+        messages = []
+        for _ in range(2):
+            with pytest.raises(DataError) as caught:
+                data.load_csv(path)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.csv"]
 
     def test_header_only_is_empty_dataset(self, tmp_path):
         path = tmp_path / "empty.csv"

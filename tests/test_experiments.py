@@ -567,6 +567,26 @@ class TestCli:
             f"config error: --output: {str(out)!r} is a directory\n")
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("output, message", [
+        ("", "--output: must not be empty, got ''"),
+        (os.path.join("f", "s.csv"), "--output: 'f' exists and is not a directory"),
+        (os.path.join("f", "sub", "s.csv"), "--output: 'f' exists and is not a directory"),
+    ], ids=["empty", "under_a_file", "under_a_missing_dir_under_a_file"])
+    def test_gen_synthetic_unusable_output_exit_one_before_drawing(
+            self, tmp_path, monkeypatch, capsys, output, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "f").write_text("keep")
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew the data before refusing --output")
+
+        monkeypatch.setattr(data, "make_synthetic", no_draw)
+        rc = cli.main(["gen-synthetic", "--n", "100", "--output", output])
+        assert rc == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert (tmp_path / "f").read_text() == "keep"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f"]
+
     @pytest.mark.parametrize("field, value", [
         ("learning_rate", -1), ("partition_scheme", "bogus"),
         ("aggregation_mode", "bogus"), ("batch_size", 0),
@@ -739,6 +759,27 @@ class TestCli:
         for report in ("report.csv", "rounds.csv", "model_fed.json"):
             assert ((tmp_path / "mem" / report).read_bytes()
                     == (tmp_path / "csv" / report).read_bytes()), report
+
+    def test_benchmark_reports_equal_from_the_parse_and_from_the_sidecar(
+            self, tmp_path, monkeypatch):
+        cfg = _fast_cfg(tmp_path)
+        csv_path = tmp_path / "synth.csv"
+        sidecar = tmp_path / ".synth.csv.fedfraud.npy"
+        assert cli.main(["gen-synthetic", "--seed", "3", "--config", cfg,
+                         "--output", str(csv_path)]) == 0
+        assert not sidecar.exists()
+        argv = ["benchmark", "--seed", "3", "--config", cfg, "--data", str(csv_path)]
+        assert cli.main([*argv, "--out", str(tmp_path / "cold")]) == 0
+        assert sidecar.is_file()
+
+        def no_parse(*args, **kwargs):
+            raise AssertionError("parsed a file whose sidecar matches")
+
+        monkeypatch.setattr(data.np, "loadtxt", no_parse)
+        assert cli.main([*argv, "--out", str(tmp_path / "warm")]) == 0
+        for report in ("report.csv", "report.txt", "rounds.csv", "model_fed.json"):
+            assert ((tmp_path / "cold" / report).read_bytes()
+                    == (tmp_path / "warm" / report).read_bytes()), report
 
     def test_non_finite_scores_exit_three_naming_the_model(self, tmp_path, capsys):
         # At this learning rate the central MLP overflows to NaN scores.
