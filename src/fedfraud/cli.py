@@ -131,7 +131,7 @@ def main(argv=None) -> int:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # exit 3: a diverged fit, or any other fault
-        print(f"runtime error: {exc}", file=sys.stderr)
+        print(f"runtime error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
 
     print(f"done in {time.perf_counter() - start:.1f}s")

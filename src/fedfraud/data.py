@@ -86,27 +86,29 @@ class ClientShard:
 
 
 def load_csv(path, label_column: str = DEFAULT_LABEL_COLUMN) -> Dataset:
-    """Load a labeled CSV (header row, numeric cells, {0,1} label column).
-    The features are every other column, by position, as a view of the one
-    parsed table; a header that names a column twice is a DataError.
+    """Load a labeled CSV (header row, numeric cells, {0,1} label column),
+    opened once and read only through that handle. The features are every
+    other column, by position, as a view of the one parsed table; a header
+    that names a column twice is a DataError.
 
     The body is parsed in one np.loadtxt pass: cells may be quoted, blank
     lines are skipped, '#' starts no comment and extra trailing cells are
-    ignored. A rejected file is rescanned so the DataError names its 1-based
-    row (blank lines count). The file is UTF-8 text, after an optional
-    byte-order mark; any other file is a DataError too.
+    ignored. A rejected regular file is rescanned so the DataError names its
+    1-based row (blank lines count); input that cannot be rewound (a pipe)
+    is not, and its DataError carries numpy's message. The file is UTF-8
+    text, after an optional byte-order mark; any other file is a DataError.
 
-    A regular file is parsed once per content: its parsed table is kept
-    beside it in a hidden sidecar, `.<name>.fedfraud.npy` (the table as an
-    .npy file, then its key: a format tag and the SHA-256 of the file's
-    bytes and of `label_column`), written once a parse has passed every
-    check. A later load of the same bytes reads the sidecar instead of
-    parsing and runs the same checks on it. A sidecar that cannot be read
-    or does not match is parsed over, and one that cannot be written is
-    skipped.
+    A regular file is parsed once per content: its table is kept beside it
+    in a hidden sidecar, `.<name>.fedfraud.npy` (the .npy table, then its
+    key: a format tag and the SHA-256 of the file's bytes and of
+    `label_column`), once a parse has passed every check. A later load of
+    the same bytes reads it instead of parsing and runs the same checks; a
+    sidecar that cannot be read or does not match is parsed over, one that
+    cannot be written skipped.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
+            sidecar, key = _sidecar_and_key(fh, path, label_column)
             try:
                 header = next(csv.reader(fh))
             except StopIteration:
@@ -123,7 +125,6 @@ def load_csv(path, label_column: str = DEFAULT_LABEL_COLUMN) -> Dataset:
                 raise DataError(f"{path}: no feature columns besides {label_column!r}")
 
             usecols = feat_idx + [label_idx]
-            sidecar, key = _sidecar_and_key(fh, path, label_column)
             table = _read_sidecar(sidecar, key, len(usecols))
             parsed = table is None
             if parsed:
@@ -134,16 +135,16 @@ def load_csv(path, label_column: str = DEFAULT_LABEL_COLUMN) -> Dataset:
                         table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
                                            usecols=usecols, dtype=np.float64, ndmin=2)
                 except ValueError as exc:
-                    _raise_first_bad_row(path, feat_idx, label_idx)
+                    _raise_first_bad_row(fh, path, feat_idx, label_idx)
                     raise DataError(f"{path}: {exc}") from exc
+            features, labels = table[:, :-1], table[:, -1]
+            if not (np.isfinite(features).all() and np.isin(labels, (0.0, 1.0)).all()):
+                _raise_first_bad_row(fh, path, feat_idx, label_idx)
+                raise DataError(f"{path}: non-finite feature cell or label not 0 or 1")
     except UnicodeDecodeError as exc:
         bad = exc.object[exc.start:exc.start + 1]
         raise DataError(f"{path}: not UTF-8 text (cannot decode byte 0x{bad.hex()})") from exc
 
-    features, labels = table[:, :-1], table[:, -1]
-    if not (np.isfinite(features).all() and np.isin(labels, (0.0, 1.0)).all()):
-        _raise_first_bad_row(path, feat_idx, label_idx)
-        raise DataError(f"{path}: non-finite feature cell or label not 0 or 1")
     if parsed and sidecar is not None:
         _write_sidecar(sidecar, key, table)
     return Dataset(features, labels.astype(np.intp), tuple(header[i] for i in feat_idx))
@@ -153,18 +154,15 @@ _SIDECAR_TAG = b"fedfraud-table-1"
 
 
 def _sidecar_and_key(fh, path, label_column: str):
-    """The sidecar path of the CSV open as `fh` and the key its table is
-    kept under; (None, None) if it is not a regular file, or if `path` no
-    longer names the file open as `fh`."""
+    """The sidecar path and table key of the regular file open as `fh`, whose
+    bytes are hashed and `fh` rewound; (None, None) for any other input."""
     import hashlib  # here, so that importing the package does not pay for it
     if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
         return None, None
     digest = hashlib.sha256()
-    with open(path, "rb") as raw:
-        if not os.path.sameopenfile(raw.fileno(), fh.fileno()):
-            return None, None
-        while chunk := raw.read(1 << 20):
-            digest.update(chunk)
+    while chunk := fh.buffer.read(1 << 20):
+        digest.update(chunk)
+    fh.seek(0)
     label_digest = hashlib.sha256(label_column.encode("utf-8")).hexdigest()
     key = b" ".join((_SIDECAR_TAG, digest.hexdigest().encode(), label_digest.encode()))
     folder, name = os.path.split(os.fspath(path))
@@ -213,29 +211,30 @@ def _cell_float(cell: str) -> float:
     return float(text)
 
 
-def _raise_first_bad_row(path, feat_idx: list[int], label_idx: int) -> None:
-    """Rescan a file the fast parse rejected; raise DataError naming the
-    first bad row. Returns only if every row passes."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                feats = [_cell_float(row[i]) for i in feat_idx]
-            except (ValueError, IndexError) as exc:
-                raise DataError(f"{path}: row {row_no}: bad feature cell ({exc})")
-            try:
-                lab = _cell_float(row[label_idx])
-            except (ValueError, IndexError) as exc:
-                raise DataError(f"{path}: row {row_no}: bad label cell ({exc})")
-            if lab not in (0.0, 1.0):
-                raise DataError(
-                    f"{path}: row {row_no}: label must be 0 or 1, got {row[label_idx]!r}"
-                )
-            if not all(math.isfinite(v) for v in feats):
-                raise DataError(f"{path}: row {row_no}: non-finite feature cell")
+def _raise_first_bad_row(fh, path, feat_idx: list[int], label_idx: int) -> None:
+    """Rescan `fh`, the open file the parse rejected, from its start; raise
+    DataError naming the first bad row. Returns if none is or `fh` cannot seek."""
+    if not fh.seekable():
+        return
+    fh.seek(0)
+    reader = csv.reader(fh)
+    next(reader, None)
+    for row_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        try:
+            feats = [_cell_float(row[i]) for i in feat_idx]
+        except (ValueError, IndexError) as exc:
+            raise DataError(f"{path}: row {row_no}: bad feature cell ({exc})")
+        try:
+            lab = _cell_float(row[label_idx])
+        except (ValueError, IndexError) as exc:
+            raise DataError(f"{path}: row {row_no}: bad label cell ({exc})")
+        if lab not in (0.0, 1.0):
+            raise DataError(f"{path}: row {row_no}: label must be 0 or 1, "
+                            f"got {row[label_idx]!r}")
+        if not all(math.isfinite(v) for v in feats):
+            raise DataError(f"{path}: row {row_no}: non-finite feature cell")
 
 
 def write_csv(ds: Dataset, path, label_column: str = DEFAULT_LABEL_COLUMN) -> None:

@@ -531,9 +531,9 @@ def _run_forked(i: int):
 
 
 def run_gen_synthetic(cfg: ExperimentConfig, path: str) -> datamod.Dataset:
-    """Draw the synthetic source and write it to the CSV `path`. A `path`
-    that is empty, a directory, or under an existing non-directory is
-    refused before anything is drawn."""
+    """Draw the synthetic source and write it to the CSV `path`, creating
+    its missing parent folders. A `path` that is empty, a directory, or
+    under an existing non-directory is refused before anything is drawn."""
     if not path:
         raise ConfigError("--output: must not be empty, got ''")
     if os.path.isdir(path):
@@ -543,5 +543,6 @@ def run_gen_synthetic(cfg: ExperimentConfig, path: str) -> datamod.Dataset:
     if cfg.label_column in ds.feature_names:
         raise ConfigError(f"label_column: {cfg.label_column!r} names a feature "
                           "column of the synthetic data")
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     datamod.write_csv(ds, path, label_column=cfg.label_column)
     return ds

@@ -2,6 +2,8 @@ import csv
 import hashlib
 import io
 import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -109,6 +111,45 @@ def npy_bytes(array):
     buf = io.BytesIO()
     np.save(buf, array, allow_pickle=True)
     return buf.getvalue()
+
+
+# Loads a CSV written into a FIFO by a thread of the same process; prints the
+# row and fraud counts, or the DataError.
+FIFO_LOAD = """
+import sys, threading
+from fedfraud import data
+from fedfraud.errors import DataError
+
+fifo, content = sys.argv[1], sys.argv[2].encode()
+
+def feed():
+    with open(fifo, "wb") as fh:
+        fh.write(content)
+
+threading.Thread(target=feed, daemon=True).start()
+try:
+    ds = data.load_csv(fifo)
+except DataError as exc:
+    print(f"DataError: {exc}")
+else:
+    print(ds.n_samples, ds.fraud_count)
+"""
+
+
+def load_from_a_fifo(tmp_path, content):
+    """What FIFO_LOAD prints for `content` written into a FIFO in tmp_path;
+    a load that blocks fails the test after 30 s instead of hanging it."""
+    fifo = tmp_path / "in.csv"
+    os.mkfifo(fifo)
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", FIFO_LOAD, str(fifo), content],
+                          cwd=root, env=dict(os.environ, PYTHONPATH=str(root / "src")),
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+needs_fifo = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
 
 
 @pytest.fixture
@@ -252,9 +293,11 @@ class TestLoadCsv:
         assert sorted(p.name for p in small_csv.parent.iterdir()) == [
             sidecar_of(small_csv).name, small_csv.name]
 
-    def test_file_replaced_while_loading_leaves_no_sidecar(self, small_csv, monkeypatch):
-        # The parse reads the file that was opened; the hash would read its
-        # replacement, so no sidecar may pair the two.
+    def test_file_replaced_while_loading_keys_the_sidecar_to_the_parsed_bytes(
+            self, small_csv, monkeypatch):
+        # The load reads only the file it opened: its rows, kept under the
+        # hash of its bytes, so the replacement is parsed on the next load.
+        opened = small_csv.read_bytes()
         real_reader = csv.reader
 
         def replace_then_read(fh):
@@ -267,8 +310,55 @@ class TestLoadCsv:
         monkeypatch.setattr(csv, "reader", replace_then_read)
         ds = data.load_csv(small_csv)
         assert np.array_equal(ds.features, [[1, 2], [3, 4], [5, 6]])
-        assert not sidecar_of(small_csv).exists()
+        sidecar = sidecar_of(small_csv)
+        key = sidecar.read_bytes()[len(npy_bytes(np.load(sidecar))):]
+        assert key.split()[1] == hashlib.sha256(opened).hexdigest().encode()
         assert np.array_equal(data.load_csv(small_csv).features, [[9, 9], [8, 8]])
+
+    def test_the_csv_path_is_opened_once_per_load(self, tmp_path, monkeypatch):
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        good.write_text("V1,Class\n1.0,0\n2.0,1\n")
+        bad.write_text("V1,Class\n1.0,0\nxyz,1\n")
+        opened = []
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(os.fspath(file))
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(data, "open", counting_open, raising=False)
+        data.load_csv(good)  # cold: parsed, sidecar written
+        data.load_csv(good)  # warm: the sidecar read
+        assert sidecar_of(good).is_file()
+        with pytest.raises(DataError, match="row 3"):
+            data.load_csv(bad)  # rejected: parsed, then rescanned
+        assert (opened.count(os.fspath(good)), opened.count(os.fspath(bad))) == (2, 1)
+
+    @needs_fifo
+    def test_fifo_loads_and_leaves_no_sidecar(self, tmp_path):
+        assert load_from_a_fifo(tmp_path, "V1,Class\n1.0,0\n2.0,1\n3.0,0\n") == "3 1\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["in.csv"]
+
+    @needs_fifo
+    @pytest.mark.parametrize("cell, message", [
+        ("xyz", "could not convert string 'xyz'"),
+        ("nan", "non-finite feature cell or label not 0 or 1"),
+    ])
+    def test_bad_row_in_a_fifo_is_a_data_error(self, tmp_path, cell, message):
+        # Input that cannot be rewound is not rescanned: numpy's message.
+        printed = load_from_a_fifo(tmp_path, f"V1,Class\n1.0,0\n{cell},1\n")
+        assert printed.startswith(f"DataError: {tmp_path / 'in.csv'}: ")
+        assert message in printed
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_bad_row_in_a_pipe_is_a_data_error(self):
+        read_end, write_end = os.pipe()
+        os.write(write_end, b"V1,Class\n1.0,0\nxyz,1\n")
+        os.close(write_end)
+        try:
+            with pytest.raises(DataError, match=f"/dev/fd/{read_end}: .*'xyz'"):
+                data.load_csv(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
 
     def test_other_label_column_on_the_same_file(self, tmp_path):
         path = tmp_path / "two_labels.csv"

@@ -587,6 +587,13 @@ class TestCli:
         assert (tmp_path / "f").read_text() == "keep"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["f"]
 
+    def test_gen_synthetic_creates_missing_folders(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        for output in (os.path.join("nodir", "sub", "x.csv"), "x.csv"):
+            assert cli.main(["gen-synthetic", "--n", "100", "--output", output]) == 0
+            assert data.load_csv(output).n_samples == 100
+        assert "error" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("field, value", [
         ("learning_rate", -1), ("partition_scheme", "bogus"),
         ("aggregation_mode", "bogus"), ("batch_size", 0),
@@ -685,6 +692,30 @@ class TestCli:
         rc = cli.main(["benchmark", "--data", str(tmp_path / "missing.csv"),
                        "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_bad_row_in_a_pipe_exit_two(self, tmp_path, capsys):
+        read_end, write_end = os.pipe()
+        os.write(write_end, b"V1,Class\n1.0,0\nxyz,1\n")
+        os.close(write_end)
+        out = tmp_path / "o"
+        try:
+            rc = cli.main(["benchmark", "--data", f"/dev/fd/{read_end}", "--out", str(out)])
+        finally:
+            os.close(read_end)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: /dev/fd/{read_end}: ") and "'xyz'" in err
+        assert not out.exists()
+
+    def test_runtime_error_without_a_message_names_its_class(self, tmp_path, monkeypatch,
+                                                             capsys):
+        def fail(cfg):
+            raise RuntimeError()
+
+        monkeypatch.setattr(experiments, "run_benchmark", fail)
+        assert cli.main(["benchmark", "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == "runtime error: RuntimeError\n"
 
     @pytest.mark.parametrize("content,message", [
         (b"V1,Caf\xe9,Class\n1.0,2.0,0\n", "not UTF-8 .*0xe9"),
