@@ -265,11 +265,11 @@ def standardize(train: Dataset, *others: Dataset) -> tuple[Dataset, ...]:
 
 def stratified_draw(labels: np.ndarray, count, rng: Rng) -> np.ndarray:
     """Sorted row ids: for each class c (0, then 1) of the n_c rows labelled
-    c, the first count(n_c) of them in rng.split(c).permutation order."""
+    c, the first count(n_c) of them in rng.split(c).gen.permutation order."""
     drawn = []
     for cls in (0, 1):
         rows = np.flatnonzero(labels == cls)
-        drawn.append(rows[rng.split(cls).permutation(rows.size)][:count(rows.size)])
+        drawn.append(rows[rng.split(cls).gen.permutation(rows.size)][:count(rows.size)])
     return np.sort(np.concatenate(drawn))
 
 
@@ -305,9 +305,10 @@ def resample_ratio(labels: np.ndarray, fraud_to_legit: tuple[int, int],
         )
         keep_legit = legit_idx
     else:
-        keep_legit = legit_idx[rng.split("resample").choice(legit_idx.size, want_legit)]
+        keep_legit = legit_idx[rng.split("resample").gen.choice(legit_idx.size, want_legit,
+                                                                  replace=False)]
     idx = np.concatenate([fraud_idx, keep_legit])
-    return idx[rng.split("resample-shuffle").permutation(idx.size)]
+    return idx[rng.split("resample-shuffle").gen.permutation(idx.size)]
 
 
 def partition(train: Dataset, k: int, scheme: str, rng: Rng,
@@ -318,16 +319,17 @@ def partition(train: Dataset, k: int, scheme: str, rng: Rng,
     from Dir_k(dirichlet_alpha)) and "label_skew" (each class's rows cut by
     their own Dir_k(dirichlet_alpha) draw, on rng.split("class", c)). A
     Dirichlet tail can leave a shard empty; once the scheme has cut, each
-    empty shard takes the last row of the largest one.
+    empty shard takes the last row of the largest one. Fewer than k rows is
+    a DataError: the set cannot serve the run.
     """
     if k < 1:
         raise DomainError(f"client count must be >= 1, got {k}")
     if train.n_samples < k:
-        raise DomainError(f"cannot split {train.n_samples} rows into {k} shards")
+        raise DataError(f"cannot split {train.n_samples} rows into {k} shards")
 
     n = train.n_samples
     if scheme == "iid":
-        chunks = np.array_split(rng.split("partition").permutation(n), k)
+        chunks = np.array_split(rng.split("partition").gen.permutation(n), k)
     elif scheme == "quantity_skew":
         chunks = _dirichlet_cut(np.arange(n), k, dirichlet_alpha, rng)
     elif scheme == "label_skew":
@@ -349,8 +351,8 @@ def _dirichlet_cut(rows: np.ndarray, k: int, alpha: float, rng: Rng) -> list[np.
     """`rows`, permuted on rng.split("partition"), cut into k runs (some maybe
     empty) at the proportions of one Dir_k(alpha) draw on
     rng.split("partition-sizes")."""
-    rows = rows[rng.split("partition").permutation(rows.size)]
-    props = rng.split("partition-sizes").dirichlet([alpha] * k)
+    rows = rows[rng.split("partition").gen.permutation(rows.size)]
+    props = rng.split("partition-sizes").gen.dirichlet([alpha] * k)
     return np.split(rows, np.floor(np.cumsum(props)[:-1] * rows.size).astype(np.intp))
 
 
@@ -365,8 +367,8 @@ def make_synthetic(n: int, fraud_fraction: float, separation: float,
         raise DomainError(f"fraud_fraction must be in (0,1), got {fraud_fraction}")
     if separation < 0 or n_features < 1:
         raise DomainError("separation must be >= 0 and n_features >= 1")
-    labels = (rng.split("labels").uniform(0.0, 1.0, n) < fraud_fraction).astype(np.intp)
-    feats = rng.split("features").normal(0.0, 1.0, (n, n_features))
+    labels = (rng.split("labels").gen.uniform(0.0, 1.0, n) < fraud_fraction).astype(np.intp)
+    feats = rng.split("features").gen.normal(0.0, 1.0, (n, n_features))
     shift = separation / math.sqrt(n_features)
     feats[labels == 1] += shift
     names = tuple(f"V{i+1}" for i in range(n_features))

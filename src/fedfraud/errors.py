@@ -10,7 +10,9 @@ class DomainError(ValueError):
 
 
 class DataError(ValueError):
-    """A dataset file could not be parsed or does not match the schema."""
+    """Input data cannot serve the run: a dataset file that does not parse or
+    match the schema, a set without both classes, a train set with fewer rows
+    than k_clients, or a sweep whose every sample count is oversized."""
 
 
 class ConfigError(ValueError):

@@ -140,7 +140,8 @@ def _active_clients(shards: list[ClientShard], config: FedConfig, master: Rng,
     """The round's ceil(participation * K) clients, drawn without replacement
     on master.split("select", round_idx), in client order."""
     m = math.ceil(config.participation * len(shards))
-    picked = master.split("select", round_idx).choice(len(shards), m)
+    picked = master.split("select", round_idx).gen.choice(len(shards), m,
+                                                         replace=False)
     return [shards[i] for i in sorted(picked)]
 
 

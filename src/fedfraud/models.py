@@ -93,7 +93,7 @@ def init_mlp_params(input_dim: int, hidden_sizes, rng: Rng) -> MlpParams:
     layers = []
     for i, (fan_in, fan_out) in enumerate(zip(layer_sizes, layer_sizes[1:])):
         s = math.sqrt(6.0 / (fan_in + fan_out))
-        layers.append(np.vstack([rng.split("init", i).uniform(-s, s, (fan_in, fan_out)),
+        layers.append(np.vstack([rng.split("init", i).gen.uniform(-s, s, (fan_in, fan_out)),
                                  np.zeros((1, fan_out))]))
     return MlpParams(layer_sizes, layers)
 
@@ -190,8 +190,8 @@ def sgd_epoch(params: MlpParams, ds: Dataset | DatasetStack, hp: MlpHyperparams,
     returns nothing; `ds` is only read.
 
     For a stack of K members, params holds K-stacked layers (as sgd_step
-    takes them) and `rng` is a sequence of K Rngs. Entry k trains
-    on member k in the order of rng[k].permutation, and all entries train in
+    takes them) and `rng` is a sequence of K Rngs. Entry k trains on member
+    k in the order of rng[k].gen.permutation, and all entries train in
     lockstep: at each batch position one stacked sgd_step serves every
     member with the same batch size. A single Dataset with one model's
     params and one Rng is the one-member case: it trains on [None] views of
@@ -214,7 +214,7 @@ def sgd_epoch(params: MlpParams, ds: Dataset | DatasetStack, hp: MlpHyperparams,
     features = [np.asarray(m.features, dtype=np.float64) for m in members]
     labels = [m.labels for m in members]
     sizes = [m.n_samples for m in members]
-    orders = [r.permutation(n) for r, n in zip(rng, sizes)]
+    orders = [r.gen.permutation(n) for r, n in zip(rng, sizes)]
     # Each step reads its batches as views of x_block / y_block. Every
     # GATHER_BLOCK batch positions, each member with rows left copies its
     # next GATHER_BLOCK batches of rows, in permutation order, into its entry.

@@ -649,8 +649,8 @@ class TestPartition:
         for c in (0, 1):
             rng = Rng(seed).split("class", c)
             rows = np.flatnonzero(labels == c)
-            rows = rows[rng.split("partition").permutation(rows.size)]
-            props = rng.split("partition-sizes").dirichlet([dirichlet_alpha] * k)
+            rows = rows[rng.split("partition").gen.permutation(rows.size)]
+            props = rng.split("partition-sizes").gen.dirichlet([dirichlet_alpha] * k)
             ends = [0, *np.floor(np.cumsum(props)[:-1] * rows.size).astype(int),
                     rows.size]
             runs.append([np.sort(rows[ends[i]:ends[i + 1]]) for i in range(k)])
@@ -678,10 +678,10 @@ class TestPartition:
         assert all(abs(share - 0.2) < 0.02 for share in fraud_shares(1e4))
 
     # SHA-256 of each shard's size and sorted row ids, shard by shard. These
-    # streams feed the iid and quantity_skew runs (the 16 000-row, 50-client
-    # case is shaped like a 1:1 train split of fed-many-clients), so they
-    # must not move when partition's code does. The 200-row, 20-client case
-    # needs the empty-shard refill.
+    # streams feed the iid, quantity_skew and label_skew runs (the 16 000-row,
+    # 50-client cases are shaped like a 1:1 train split of fed-many-clients),
+    # so they must not move when partition's code does. The 200-row,
+    # 20-client cases need the empty-shard refill.
     @pytest.mark.parametrize("scheme, n, k, alpha, seed, digest", [
         ("iid", 37, 4, 0.5, 0,
          "24c1b8e72db70ae7e00ddbf5440fa279a5a5e6d0e13ee858bf55a23d06927764"),
@@ -697,6 +697,12 @@ class TestPartition:
          "6bb07d3eb09c2ff95dbc87a05a4d4646417013b2be39999d99e3315f4f5dac17"),
         ("quantity_skew", 16_000, 50, 0.5, 1,
          "af24978ee50a0ed234424535a726335896178f7c88fe7861276cea4731423294"),
+        ("label_skew", 1000, 5, 0.5, 1,
+         "6aa6313ea553e7abc3b819bc9ab9b2aaa9a238e3e31989a4886f6d5524c1e01d"),
+        ("label_skew", 200, 20, 0.05, 3,
+         "42a5f952848053ccf9845c0479fed81df7b11e701cd0dbc21a6fcf43e16f3122"),
+        ("label_skew", 16_000, 50, 0.5, 1,
+         "033b8dfda0a5f4b3daec8144738aa7a2195c8a621a05bf6a0ebfe6f8bfc99887"),
     ])
     def test_iid_and_quantity_skew_streams_pinned(self, scheme, n, k, alpha, seed,
                                                   digest):
@@ -709,7 +715,7 @@ class TestPartition:
         assert h.hexdigest() == digest
 
     def test_too_many_clients(self, imbalanced):
-        with pytest.raises(DomainError):
+        with pytest.raises(DataError):
             data.partition(imbalanced, imbalanced.n_samples + 1, "iid", Rng(0))
 
     def test_unknown_scheme(self, imbalanced):

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from fedfraud import cli, data, experiments, metrics
-from fedfraud.errors import ConfigError, DomainError
+from fedfraud.errors import ConfigError, DataError, DomainError
 from fedfraud.experiments import ExperimentConfig, load_config, parse_ratio
 from fedfraud.numeric import Rng
 
@@ -211,7 +211,7 @@ class TestSweep:
         cfg = ExperimentConfig(**fast_overrides(
             tmp_path, sweep_sample_counts=(300, 600), sweep_ratios=("1:1",),
             sweep_repeats=2, rounds=2, k_clients=500))
-        with pytest.raises(DomainError, match=r"^sample_count 300, ratio 1:1: "
+        with pytest.raises(DataError, match=r"^sample_count 300, ratio 1:1: "
                                               r"cannot split \d+ rows into 500 shards$"):
             experiments.run_sweep(cfg, workers)
         assert not (Path(cfg.out) / "sweep.csv").exists()
@@ -526,6 +526,25 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, config, message", [
+        (["benchmark", "--seed", "1"],
+         {"synthetic_n": 300, "k_clients": 100, "rounds": 2, "epochs": 1},
+         "cannot split 40 rows into 100 shards"),
+        (["sweep-sampling"],
+         {"synthetic_n": 2000, "rounds": 2, "epochs": 1, "sweep_sample_counts": [50],
+          "sweep_repeats": 2, "k_clients": 30},
+         "sample_count 50, ratio 1:1: cannot split 8 rows into 30 shards"),
+    ], ids=["benchmark", "sweep_point"])
+    def test_train_set_smaller_than_k_clients_exit_two(self, tmp_path, capsys, argv,
+                                                       config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        rc = cli.main([*argv, "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"data error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["benchmark", "fed-vs-central", "sweep-sampling"])

@@ -279,6 +279,27 @@ class TestRunRound:
         [report2] = run_round([params], [shards], config, [Rng(1)], 0)
         assert report.participant_ids == report2.participant_ids
 
+    def test_client_selection_stream_pinned(self):
+        # Rounds 0-4 of 50 clients at participation 0.5, the draw behind the
+        # fed-many-clients runs; it must not move when the selection code does.
+        shards = [ClientShard(i, Dataset(np.zeros((1, 1)), np.zeros(1, dtype=np.intp)))
+                  for i in range(50)]
+        config = FedConfig(participation=0.5)
+        picks = [[s.client_id for s in federated._active_clients(shards, config, Rng(1), t)]
+                 for t in range(5)]
+        assert picks == [
+            [1, 5, 6, 7, 8, 13, 16, 17, 19, 20, 21, 22, 23, 25, 27, 30, 31, 32, 33, 34,
+             40, 43, 44, 47, 49],
+            [0, 5, 6, 7, 8, 9, 11, 12, 14, 15, 16, 22, 26, 27, 31, 32, 33, 39, 40, 41,
+             44, 45, 46, 47, 48],
+            [0, 1, 2, 3, 6, 9, 13, 15, 17, 18, 19, 21, 22, 23, 25, 29, 32, 33, 38, 39,
+             41, 43, 45, 46, 49],
+            [1, 3, 4, 8, 11, 14, 15, 17, 18, 20, 21, 23, 24, 25, 27, 28, 31, 32, 33, 34,
+             35, 43, 44, 48, 49],
+            [0, 1, 3, 4, 7, 9, 11, 17, 18, 19, 20, 23, 25, 28, 29, 31, 34, 35, 36, 37,
+             38, 40, 42, 46, 47],
+        ]
+
     @pytest.mark.parametrize("mode", [FEDAVG, FEDSGD])
     def test_empty_shard_refused_before_round_zero(self, monkeypatch, mode):
         ds = data.make_synthetic(50, 0.3, 2.0, 3, Rng(0))

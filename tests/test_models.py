@@ -125,9 +125,9 @@ class TestMlpParams:
             0.0])
         assert np.array_equal(vec, expected)
         s0, s1 = math.sqrt(6.0 / 5.0), math.sqrt(6.0 / 3.0)
-        draws = np.concatenate([Rng(0).split("init", 0).uniform(-s0, s0, (3, 2)).ravel(),
+        draws = np.concatenate([Rng(0).split("init", 0).gen.uniform(-s0, s0, (3, 2)).ravel(),
                                 np.zeros(2),
-                                Rng(0).split("init", 1).uniform(-s1, s1, (2, 1)).ravel(),
+                                Rng(0).split("init", 1).gen.uniform(-s1, s1, (2, 1)).ravel(),
                                 np.zeros(1)])
         assert np.array_equal(draws, expected)
 
@@ -247,7 +247,7 @@ class TestBackward:
 def reference_sgd_epoch(params, ds, hp, rng):
     """The unfused epoch: a Dataset per batch, mlp_forward, mlp_backward, and
     a flat-vector step rebuilt through from_vector."""
-    order = rng.permutation(ds.n_samples)
+    order = rng.gen.permutation(ds.n_samples)
     for start in range(0, ds.n_samples, hp.batch_size):
         batch = ds.take(order[start:start + hp.batch_size])
         _, caches = mlp_forward(params, batch.features)
@@ -308,7 +308,7 @@ class TestSgd:
 
     def _toy(self):
         rng = Rng(11)
-        X = rng.normal(0.0, 1.0, (64, 2))
+        X = rng.gen.normal(0.0, 1.0, (64, 2))
         y = (X[:, 0] + X[:, 1] > 0).astype(np.intp)
         return Dataset(X, y)
 
@@ -325,7 +325,7 @@ class TestSgd:
         params = init_mlp_params(2, (3,), Rng(0))
         # The epoch shuffles first; use the same permuted batch so the
         # comparison is bit-exact, not just mathematically equal.
-        shuffled = ds.take(Rng(1).permutation(ds.n_samples))
+        shuffled = ds.take(Rng(1).gen.permutation(ds.n_samples))
         grad = mlp_backward(params, mlp_forward(params, shuffled.features)[1],
                             shuffled.labels)
         expected = params.as_vector() - 0.1 * grad
@@ -342,8 +342,8 @@ class TestSgd:
     ])
     def test_bit_identical_to_reference_loop(self, hidden, n, batch_size):
         rng = Rng(21)
-        X = rng.normal(0.0, 1.0, (n, 5))
-        y = (rng.uniform(0.0, 1.0, n) < 0.3).astype(np.intp)
+        X = rng.gen.normal(0.0, 1.0, (n, 5))
+        y = (rng.gen.uniform(0.0, 1.0, n) < 0.3).astype(np.intp)
         ds = Dataset(X, y)
         X_before, y_before = X.copy(), y.copy()
         hp = MlpHyperparams(hidden_sizes=hidden, learning_rate=0.3,
@@ -356,6 +356,40 @@ class TestSgd:
             assert np.array_equal(fused.as_vector(), reference.as_vector())
         assert np.array_equal(ds.features, X_before)
         assert np.array_equal(ds.labels, y_before)
+
+    @staticmethod
+    def _recorded_rows(monkeypatch, sizes, batch_size, rngs):
+        """Each sgd_step's batch rows, one list per stack entry of the step,
+        from a one-feature dataset whose feature is its row index."""
+        steps = []
+        monkeypatch.setattr(models, "sgd_step", lambda layers, x, y, lr: steps.append(
+            [row.astype(int).tolist() for row in x[:, :, 0]]))
+        members = tuple(Dataset(np.arange(n, dtype=float).reshape(n, 1), np.arange(n) % 2)
+                        for n in sizes)
+        one = init_mlp_params(1, (), Rng(0))
+        params = MlpParams(one.layer_sizes,
+                           [np.stack([w] * len(sizes)) for w in one.layers])
+        sgd_epoch(params, DatasetStack(members), MlpHyperparams(hidden_sizes=(),
+                  batch_size=batch_size), rngs)
+        return steps
+
+    # Each member's rows are taken in the order of its rng's permutation
+    # draw; these literals pin it, so it must not move when sgd_epoch's code
+    # does. The 37-row case wraps the GATHER_BLOCK gather once.
+    def test_one_member_row_order_pinned(self, monkeypatch):
+        steps = self._recorded_rows(monkeypatch, (37,), 2, [Rng(3).split("epoch", 0)])
+        assert steps == [[[5, 7]], [[21, 10]], [[2, 13]], [[3, 26]], [[6, 29]], [[30, 12]],
+                         [[31, 18]], [[34, 20]], [[36, 17]], [[14, 4]], [[22, 0]],
+                         [[27, 15]], [[33, 25]], [[8, 35]], [[24, 19]], [[23, 1]],
+                         [[32, 16]], [[9, 11]], [[28]]]
+
+    def test_three_member_row_order_pinned(self, monkeypatch):
+        rngs = [Rng(5).split("client", k, "round", 0).split("epoch", 1) for k in range(3)]
+        steps = self._recorded_rows(monkeypatch, (9, 6, 4), 4, rngs)
+        # Step 1: members 0 and 1 take batches of 4 and 2 rows, so they step
+        # apart; member 2 has no rows left.
+        assert steps == [[[0, 7, 8, 6], [2, 3, 5, 1], [2, 0, 3, 1]],
+                         [[3, 1, 2, 4]], [[4, 0]], [[5]]]
 
     def test_stack_checks(self):
         ds, small = self._toy(), self._toy().take(range(5))
@@ -404,8 +438,8 @@ class TestLogisticRegression:
 
     def test_equals_mlp_without_hidden_layers(self):
         rng = Rng(5)
-        ds = Dataset(rng.normal(0, 1, (40, 3)),
-                     (rng.uniform(0, 1, 40) > 0.5).astype(np.intp))
+        ds = Dataset(rng.gen.normal(0, 1, (40, 3)),
+                     (rng.gen.uniform(0, 1, 40) > 0.5).astype(np.intp))
         hp = MlpHyperparams(hidden_sizes=(), learning_rate=0.1,
                             batch_size=8, epochs=10)
         lr = models.LogisticRegression(hp).fit(ds, Rng(9))
@@ -425,8 +459,8 @@ class TestPredictContract:
     def test_proba_in_open_interval(self):
         clf = models.MlpClassifier(MlpHyperparams(epochs=3))
         rng = Rng(0)
-        ds = Dataset(rng.normal(0, 1, (50, 3)),
-                     (rng.uniform(0, 1, 50) > 0.7).astype(np.intp))
+        ds = Dataset(rng.gen.normal(0, 1, (50, 3)),
+                     (rng.gen.uniform(0, 1, 50) > 0.7).astype(np.intp))
         clf.fit(ds, rng.split("fit"))
         p = clf.predict_proba(ds.features)
         assert (p > 0).all() and (p < 1).all()
