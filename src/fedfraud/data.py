@@ -2,6 +2,9 @@
 
 Splitting and resampling return row ids, the rest new Datasets; nothing
 mutates its input. Everything that draws randomness takes an explicit Rng.
+A source of rows is a Dataset (a loaded CSV) or a SyntheticSource, which
+draws a row's features only when it is taken; both give their rows as
+Datasets through take(ids) and materialize().
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .numeric import Rng
 
 DEFAULT_LABEL_COLUMN = "Class"
 PARTITION_SCHEMES = ("iid", "quantity_skew", "label_skew")
+SYNTHETIC_CHUNK_ROWS = 8192  # rows of the feature stream drawn at a time by a take
 
 
 @dataclass(frozen=True)
@@ -55,6 +59,10 @@ class Dataset:
     def take(self, idx) -> "Dataset":
         idx = np.asarray(idx, dtype=np.intp)
         return Dataset(self.features[idx], self.labels[idx], self.feature_names)
+
+    def materialize(self) -> "Dataset":
+        """Every row as a Dataset: this one, not a copy."""
+        return self
 
 
 @dataclass(frozen=True)
@@ -218,17 +226,21 @@ def _raise_first_bad_row(fh, path, feat_idx: list[int], label_idx: int) -> None:
         return
     fh.seek(0)
     reader = csv.reader(fh)
+    n_header = len(feat_idx) + 1  # every column is a feature or the label
     next(reader, None)
     for row_no, row in enumerate(reader, start=2):
         if not row:
             continue
+        if len(row) < n_header:
+            raise DataError(f"{path}: row {row_no}: {len(row)} cells, but the header "
+                            f"has {n_header}")
         try:
             feats = [_cell_float(row[i]) for i in feat_idx]
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             raise DataError(f"{path}: row {row_no}: bad feature cell ({exc})")
         try:
             lab = _cell_float(row[label_idx])
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             raise DataError(f"{path}: row {row_no}: bad label cell ({exc})")
         if lab not in (0.0, 1.0):
             raise DataError(f"{path}: row {row_no}: label must be 0 or 1, "
@@ -249,11 +261,21 @@ def write_csv(ds: Dataset, path, label_column: str = DEFAULT_LABEL_COLUMN) -> No
 def standardize(train: Dataset, *others: Dataset) -> tuple[Dataset, ...]:
     """`train`, then each of `others`, as new Datasets with every feature
     column centred on train's mean and divided by train's population std (a
-    constant column is only centred)."""
+    constant column is only centred). A column whose train mean or std
+    overflows is a DataError naming it: scaled by an infinite std, it would
+    be erased to ±0."""
     if train.n_samples == 0:
         raise DomainError("cannot fit standardizer on an empty dataset")
-    mean = train.features.mean(axis=0)
-    std = train.features.std(axis=0)  # population formula
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by name below
+        mean = train.features.mean(axis=0)
+        std = train.features.std(axis=0)  # population formula
+    bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
+    if bad.size:
+        col = int(bad[0])
+        name = train.feature_names[col] if train.feature_names else f"#{col + 1}"
+        raise DataError(f"feature column {name!r}: train mean {float(mean[col])!r} and std "
+                        f"{float(std[col])!r} must be finite to standardize (a cell is "
+                        "too large)")
     denom = np.where(std > 0.0, std, 1.0)
     out = []
     for ds in (train, *others):
@@ -357,10 +379,11 @@ def _dirichlet_cut(rows: np.ndarray, k: int, alpha: float, rng: Rng) -> list[np.
 
 
 def make_synthetic(n: int, fraud_fraction: float, separation: float,
-                   n_features: int, rng: Rng) -> Dataset:
+                   n_features: int, rng: Rng) -> "SyntheticSource":
     """Two Gaussian clusters with class imbalance; cluster means are
     `separation` apart in Euclidean distance, so separation 0 means
-    indistinguishable classes."""
+    indistinguishable classes. The labels are drawn here, the features only
+    as rows are taken (SyntheticSource)."""
     if n <= 0:
         raise DomainError(f"sample count must be positive, got {n}")
     if not 0.0 < fraud_fraction < 1.0:
@@ -368,8 +391,53 @@ def make_synthetic(n: int, fraud_fraction: float, separation: float,
     if separation < 0 or n_features < 1:
         raise DomainError("separation must be >= 0 and n_features >= 1")
     labels = (rng.split("labels").gen.uniform(0.0, 1.0, n) < fraud_fraction).astype(np.intp)
-    feats = rng.split("features").gen.normal(0.0, 1.0, (n, n_features))
-    shift = separation / math.sqrt(n_features)
-    feats[labels == 1] += shift
     names = tuple(f"V{i+1}" for i in range(n_features))
-    return Dataset(feats, labels, names)
+    return SyntheticSource(labels, separation / math.sqrt(n_features), rng, names)
+
+
+@dataclass(frozen=True)
+class SyntheticSource:
+    """make_synthetic's rows. Row i's features are row i of one
+    (n_samples, n_features) standard-normal draw on rng.split("features"),
+    plus `shift` in every column if the row is fraud. Only the taken rows
+    are held: take walks that stream from its start, SYNTHETIC_CHUNK_ROWS
+    rows at a time, up to the last row asked for, so a row has the same
+    bytes however it is taken."""
+
+    labels: np.ndarray  # (n_samples,) int, 1 = fraud
+    shift: float
+    rng: Rng
+    feature_names: tuple[str, ...]
+
+    @property
+    def n_samples(self) -> int:
+        return self.labels.size
+
+    @property
+    def fraud_count(self) -> int:
+        return int(self.labels.sum())
+
+    def take(self, idx) -> Dataset:
+        """The rows `idx` (in that order, repeats kept) as a Dataset."""
+        # numpy's rules for an index: a negative id counts from the end, and
+        # one out of range is an IndexError.
+        idx = np.arange(self.n_samples)[np.asarray(idx, dtype=np.intp)]
+        order = np.argsort(idx, kind="stable")
+        wanted = idx[order]
+        features = np.empty((idx.size, len(self.feature_names)))
+        gen = self.rng.split("features").gen
+        stop = int(wanted[-1]) + 1 if idx.size else 0
+        done = 0  # rows of `wanted` filled so far
+        for start in range(0, stop, SYNTHETIC_CHUNK_ROWS):
+            chunk = gen.normal(0.0, 1.0, (min(SYNTHETIC_CHUNK_ROWS, self.n_samples - start),
+                                          len(self.feature_names)))
+            end = int(np.searchsorted(wanted, start + chunk.shape[0]))
+            features[order[done:end]] = chunk[wanted[done:end] - start]
+            done = end
+        labels = self.labels[idx]
+        features[labels == 1] += self.shift
+        return Dataset(features, labels, self.feature_names)
+
+    def materialize(self) -> Dataset:
+        """Every row as a Dataset, drawn in one walk of the stream."""
+        return self.take(np.arange(self.n_samples))

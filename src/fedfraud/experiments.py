@@ -199,7 +199,9 @@ def config_echo(cfg: ExperimentConfig) -> str:
 
 # --- shared pipeline --------------------------------------------------------
 
-def load_source(cfg: ExperimentConfig) -> datamod.Dataset:
+def load_source(cfg: ExperimentConfig) -> datamod.Dataset | datamod.SyntheticSource:
+    """The CSV `cfg.data` as a Dataset, or else the synthetic source, whose
+    features are drawn only as its rows are taken."""
     if cfg.data is not None:
         return datamod.load_csv(cfg.data, label_column=cfg.label_column)
     rng = Rng(cfg.seed).split("synthetic-source")
@@ -219,7 +221,7 @@ def _refuse_unless_under_a_directory(name: str, path: str) -> None:
         raise ConfigError(f"{name}: {part!r} exists and is not a directory")
 
 
-def _training_source(cfg: ExperimentConfig) -> datamod.Dataset:
+def _training_source(cfg: ExperimentConfig) -> datamod.Dataset | datamod.SyntheticSource:
     """load_source, refused unless it has fraud and legit rows: the training
     commands resample it to a fraud:legit ratio. An `out` whose nearest
     existing part is not a directory is refused first, before the source
@@ -233,14 +235,14 @@ def _training_source(cfg: ExperimentConfig) -> datamod.Dataset:
     return source
 
 
-def prepare_splits(ds: datamod.Dataset, ratio: tuple[int, int], test_fraction: float,
-                   rng: Rng):
-    """Resample ds to `ratio`, hold out a stratified `test_fraction` of the
-    kept rows as the test set, standardize both with train statistics.
-    Returns (train, test), each taken from ds once. A set without fraud or
-    legit rows is a DataError: no model can be fitted or scored on it."""
-    rows = datamod.resample_ratio(ds.labels, ratio, rng.split("resample"))
-    labels = ds.labels[rows]
+def prepare_splits(source, ratio: tuple[int, int], test_fraction: float, rng: Rng):
+    """Resample `source` (load_source's) to `ratio`, hold out a stratified
+    `test_fraction` of the kept rows as the test set, standardize both with
+    train statistics. Returns (train, test), taken from the source in one
+    take call. A set without fraud or legit rows is a DataError: no model
+    can be fitted or scored on it."""
+    rows = datamod.resample_ratio(source.labels, ratio, rng.split("resample"))
+    labels = source.labels[rows]
     train, test = datamod.stratified_split(labels, test_fraction, rng.split("split"))
     for name, ids in (("train", train), ("test", test)):
         fraud = int(labels[ids].sum())
@@ -248,7 +250,11 @@ def prepare_splits(ds: datamod.Dataset, ratio: tuple[int, int], test_fraction: f
             raise DataError(f"{name} set has {fraud} fraud and {ids.size - fraud} legit "
                             f"rows (ratio {ratio[0]}:{ratio[1]}, test_fraction "
                             f"{test_fraction}); both classes are needed")
-    return datamod.standardize(ds.take(rows[train]), ds.take(rows[test]))
+    taken = source.take(np.concatenate((rows[train], rows[test])))
+    cut = train.size
+    return datamod.standardize(
+        datamod.Dataset(taken.features[:cut], taken.labels[:cut], taken.feature_names),
+        datamod.Dataset(taken.features[cut:], taken.labels[cut:], taken.feature_names))
 
 
 # A diverging fit overflows in numpy before its non-finite updates or test
@@ -258,34 +264,41 @@ def prepare_splits(ds: datamod.Dataset, ratio: tuple[int, int], test_fraction: f
 def train_model(name: str, cfg: ExperimentConfig, cells):
     """Train one model per cell with the settings of `cfg`, score its test
     set and refuse a diverged fit (_check_not_diverged); `cells` is an
-    iterable of (train, test, rng). Returns one (test scores, test labels,
-    round reports or [], final params for mlp_fed else None) per cell.
+    iterable of (train, test, rng) as _planned gives them for `name`.
+    Returns one (test scores, test labels, round reports or [], final
+    params for mlp_fed else None) per cell.
 
     mlp_fed trains the cells' federations side by side in one
     federated.run_training call, each on its cell's rng.seed as master seed.
-    Each cell is partitioned as soon as it is drawn, so of a cell only its
-    shards and test set stay held.
     """
     if name not in BENCHMARK_MODELS:
         raise ConfigError(f"unknown model {name!r}")
     if name == "mlp_fed":
-        shards, tests, seeds = [], [], []
-        for train, test, rng in cells:
-            shards.append(datamod.partition(
-                train, cfg.k_clients, cfg.partition_scheme,
-                rng.split("partition"), dirichlet_alpha=cfg.dirichlet_alpha))
-            tests.append(test)
-            seeds.append(rng.seed)
-        fits = federated.run_training(shards, cfg.fed_config(), seeds)
+        cells = list(cells)
+        fits = federated.run_training([shards for shards, _, _ in cells], cfg.fed_config(),
+                                      [rng.seed for _, _, rng in cells])
         results = [(models.mlp_forward(params, test.features)[0], test.labels,
                     reports, params)
-                   for (params, reports), test in zip(fits, tests, strict=True)]
+                   for (params, reports), (_, test, _) in zip(fits, cells, strict=True)]
     else:
         results = [(_fit_central(name, train, cfg, rng).predict_proba(test.features),
                     test.labels, [], None) for train, test, rng in cells]
     for scores, *_ in results:
         _check_not_diverged(name, scores)
     return results
+
+
+def _planned(name: str, cfg: ExperimentConfig, cells):
+    """Each cell (train, test, rng) of `cells` as train_model takes it for
+    `name`: for mlp_fed, its train set is cut into cfg.k_clients client
+    shards (datamod.partition, on rng.split("partition")) as soon as the
+    cell is drawn, so of a cell only its shards and test set stay held."""
+    for train, test, rng in cells:
+        if name == "mlp_fed":
+            train = datamod.partition(train, cfg.k_clients, cfg.partition_scheme,
+                                      rng.split("partition"),
+                                      dirichlet_alpha=cfg.dirichlet_alpha)
+        yield train, test, rng
 
 
 def _fit_central(name: str, train: datamod.Dataset, cfg: ExperimentConfig, rng: Rng):
@@ -364,13 +377,15 @@ def _run_models(cfg: ExperimentConfig, names) -> list[dict]:
     config.json, report.csv, report.txt, rounds.csv and model_fed.json.
     Returns the report rows, one per model in the given order. rounds.csv
     scores each round's global model on the test set at cfg.threshold, as
-    report.csv scores the final models."""
-    source = _training_source(cfg)
+    report.csv scores the final models. No source is held past the split,
+    and every model's cell is planned before any model trains, so a train
+    set too small for k_clients is refused first."""
     rng = Rng(cfg.seed)
-    train, test = prepare_splits(source, cfg.ratio, cfg.test_fraction, rng)
+    train, test = prepare_splits(_training_source(cfg), cfg.ratio, cfg.test_fraction, rng)
+    cells = {name: list(_planned(name, cfg, [(train, test, rng)])) for name in names}
     rows = []
     for name in names:
-        [(scores, _, reports, params)] = train_model(name, cfg, [(train, test, rng)])
+        [(scores, _, reports, params)] = train_model(name, cfg, cells[name])
         rows.append({"model": name,
                      **metrics.summarize(scores, test.labels, cfg.threshold)})
         if name == "mlp_fed":
@@ -427,8 +442,8 @@ def _sweep_point(source: datamod.Dataset, cfg: ExperimentConfig,
     """The test AUC of each repeat of one grid point, trained in one
     train_model call. A DomainError or DataError names the grid point."""
     try:
-        fits = train_model(cfg.sweep_model, cfg, _sweep_cells(
-            source, cfg, sample_count, ratio_name))
+        cells = _sweep_cells(source, cfg, sample_count, ratio_name)
+        fits = train_model(cfg.sweep_model, cfg, _planned(cfg.sweep_model, cfg, cells))
         return [metrics.roc_auc(scores, labels)[1] for scores, labels, _, _ in fits]
     except (DomainError, DataError) as exc:
         raise type(exc)(f"sample_count {sample_count}, ratio {ratio_name}: {exc}") from exc
@@ -452,6 +467,9 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
                       f"{source.n_samples}; skipping")
     points = [(sample_count, ratio_name) for sample_count in cfg.sweep_sample_counts
               if sample_count not in oversized for ratio_name in cfg.sweep_ratios]
+    # Every row, drawn once here: the grid points take their pools from it,
+    # and forked workers share it.
+    source = source.materialize()
 
     # Largest first, so that no big point starts last and runs alone.
     aucs = _fork_map(lambda i: _sweep_point(source, cfg, *points[i]), len(points),
@@ -539,10 +557,11 @@ def run_gen_synthetic(cfg: ExperimentConfig, path: str) -> datamod.Dataset:
     if os.path.isdir(path):
         raise ConfigError(f"--output: {path!r} is a directory")
     _refuse_unless_under_a_directory("--output", os.path.dirname(path))
-    ds = load_source(dataclasses.replace(cfg, data=None))
-    if cfg.label_column in ds.feature_names:
+    source = load_source(dataclasses.replace(cfg, data=None))
+    if cfg.label_column in source.feature_names:
         raise ConfigError(f"label_column: {cfg.label_column!r} names a feature "
                           "column of the synthetic data")
+    ds = source.materialize()
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     datamod.write_csv(ds, path, label_column=cfg.label_column)
     return ds

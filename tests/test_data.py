@@ -155,7 +155,7 @@ needs_fifo = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo"
 @pytest.fixture
 def imbalanced():
     rng = Rng(0)
-    return data.make_synthetic(1000, 0.1, 2.0, 4, rng)
+    return data.make_synthetic(1000, 0.1, 2.0, 4, rng).materialize()
 
 
 class TestLoadCsv:
@@ -421,7 +421,7 @@ class TestLoadCsv:
             data.load_csv(path)
 
     @pytest.mark.parametrize("row, message", [
-        ("1.0,2.0", "bad label cell"),         # short row
+        ("1.0,2.0", "2 cells, but the header has 3"),  # short row
         ("1_0,2.0,1", "bad feature cell"),     # Python-only spelling
         ("1.0,2.0, \"1\"", "bad label cell"),  # quote after a space is literal
     ])
@@ -476,6 +476,20 @@ class TestStandardizer:
         [out] = data.standardize(ds)
         assert np.array_equal(out.features, np.zeros((3, 1)))
 
+    def test_overflowing_train_column_refused_by_name(self):
+        # One huge cell overflows the std to inf; scaled by it, the column
+        # would be erased to ±0. numpy's overflow warning (an error in this
+        # suite) is not shown: the DataError is the message.
+        features = np.tile([[1.0, 2.0]], (6, 1)) + np.arange(6.0)[:, None]
+        features[2, 1] = 1e200
+        ds = data.Dataset(features, np.array([0, 1, 0, 1, 0, 1]), ("a", "b"))
+        with pytest.raises(DataError, match=r"feature column 'b': train mean .* and std "
+                                            r"inf must be finite"):
+            data.standardize(ds)
+        huge = data.Dataset(np.full((4, 1), 1e308), np.array([0, 1, 0, 1]))
+        with pytest.raises(DataError, match=r"feature column '#1': train mean inf"):
+            data.standardize(huge)
+
     def test_idempotent_normalization(self, imbalanced):
         [once] = data.standardize(imbalanced)
         assert np.max(np.abs(once.features.mean(axis=0))) <= 1e-9
@@ -525,7 +539,7 @@ class TestStratifiedSplit:
             train, test = ds.take(train_ids), ds.take(test_ids)
             assert train.n_samples + test.n_samples == n
             # Rows are unique with probability 1; set membership finds overlap.
-            all_rows = {tuple(r) for r in ds.features}
+            all_rows = {tuple(r) for r in ds.materialize().features}
             train_rows = {tuple(r) for r in train.features}
             test_rows = {tuple(r) for r in test.features}
             assert train_rows | test_rows == all_rows
@@ -733,7 +747,7 @@ class TestSynthetic:
     def test_deterministic(self):
         a = data.make_synthetic(500, 0.1, 2.0, 4, Rng(9))
         b = data.make_synthetic(500, 0.1, 2.0, 4, Rng(9))
-        assert np.array_equal(a.features, b.features)
+        assert np.array_equal(a.materialize().features, b.materialize().features)
         assert np.array_equal(a.labels, b.labels)
 
     def test_bad_params(self):
@@ -741,3 +755,60 @@ class TestSynthetic:
             data.make_synthetic(0, 0.1, 1.0, 3, Rng(0))
         with pytest.raises(DomainError):
             data.make_synthetic(10, 1.5, 1.0, 3, Rng(0))
+
+
+CHUNK = data.SYNTHETIC_CHUNK_ROWS
+
+
+def one_shot_features(source):
+    """The features of every row of `source` as one draw of the whole
+    (n_samples, n_features) normal matrix, the fraud rows shifted: the
+    reference for what a take walks in chunks."""
+    shape = (source.n_samples, len(source.feature_names))
+    feats = source.rng.split("features").gen.normal(0.0, 1.0, shape)
+    feats[source.labels == 1] += source.shift
+    return feats
+
+
+class TestSyntheticTake:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([1, 5, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 37]),
+           seed=st.integers(0, 2**16), picks=st.data())
+    @example(n=2 * CHUNK + 37, seed=0, picks=None)  # every row, all chunks
+    def test_take_equals_rows_of_one_draw(self, n, seed, picks):
+        source = data.make_synthetic(n, 0.3, 2.0, 3, Rng(seed))
+        if picks is None:
+            ids = np.arange(n)
+        else:
+            # Unsorted, repeated or empty ids, biased to the chunk boundaries.
+            edges = [i for i in (0, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK, n - 1) if i < n]
+            ids = np.array(picks.draw(st.lists(
+                st.one_of(st.integers(0, n - 1), st.sampled_from(edges)), max_size=40)),
+                dtype=np.intp)
+        taken = source.take(ids)
+        expected = one_shot_features(source)[ids]
+        assert taken.features.tobytes() == expected.tobytes()
+        assert taken.features.shape == (ids.size, 3) and taken.features.flags.c_contiguous
+        assert np.array_equal(taken.labels, source.labels[ids])
+        assert taken.feature_names == ("V1", "V2", "V3")
+
+    def test_chunk_size_changes_no_byte(self, monkeypatch):
+        source = data.make_synthetic(1000, 0.2, 2.0, 4, Rng(3))
+        ids = np.array([999, 0, 7, 7, 500, 6, 13])
+        whole, some = source.materialize(), source.take(ids)
+        monkeypatch.setattr(data, "SYNTHETIC_CHUNK_ROWS", 7)
+        assert source.materialize().features.tobytes() == whole.features.tobytes()
+        assert source.take(ids).features.tobytes() == some.features.tobytes()
+
+    def test_each_take_restarts_the_stream(self):
+        source = data.make_synthetic(3 * CHUNK, 0.2, 2.0, 4, Rng(4))
+        first = source.take([CHUNK + 2, 5])
+        again = source.take([5, CHUNK + 2])
+        assert np.array_equal(first.features, again.features[::-1])
+        assert np.array_equal(source.take([5]).features, first.features[1:])
+
+    def test_ids_index_as_numpy_does(self):
+        source = data.make_synthetic(20, 0.2, 2.0, 4, Rng(5))
+        assert np.array_equal(source.take([-1]).features, source.take([19]).features)
+        with pytest.raises(IndexError):
+            source.take([20])

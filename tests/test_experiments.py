@@ -188,7 +188,8 @@ class TestSweep:
                 source, cell_cfg, row["sample_count"], row["ratio"])
             assert rng.seed == row["seed"]
             [(scores, labels, _, _)] = experiments.train_model(
-                "mlp_fed", cell_cfg, [(train, test, rng)])
+                "mlp_fed", cell_cfg, experiments._planned("mlp_fed", cell_cfg,
+                                                          [(train, test, rng)]))
             _, auc = metrics.roc_auc(scores, labels)
             assert auc == row["auc"]
 
@@ -310,6 +311,43 @@ def _split_digests(train, test):
     """SHA-256 of each split's standardized features and labels."""
     return tuple(hashlib.sha256(ds.features.tobytes() + ds.labels.astype(np.int64).tobytes())
                  .hexdigest() for ds in (train, test))
+
+
+class TestSyntheticRowsTaken:
+    """The synthetic feature stream is walked once per run, and only as far
+    as the rows the run uses (data.SyntheticSource.take)."""
+
+    @pytest.fixture
+    def takes(self, monkeypatch):
+        sizes = []
+        take = data.SyntheticSource.take
+
+        def counted(self, idx):
+            sizes.append(np.asarray(idx).size)
+            return take(self, idx)
+
+        monkeypatch.setattr(data.SyntheticSource, "take", counted)
+        return sizes
+
+    def test_fed_vs_central_takes_only_train_and_test(self, tmp_path, takes):
+        cfg = ExperimentConfig(**fast_overrides(tmp_path, seed=1, synthetic_n=5000))
+        experiments.run_fed_vs_central(cfg)
+        fraud = experiments.load_source(cfg).fraud_count
+        # At 1:1, train and test hold every fraud row and as many legit.
+        assert takes == [2 * fraud]
+        assert 2 * fraud < cfg.synthetic_n
+
+    def test_forked_sweep_draws_every_row_once_in_the_parent(self, tmp_path, takes):
+        cfg = ExperimentConfig(**fast_overrides(
+            tmp_path, seed=1, sweep_sample_counts=(300, 600), sweep_repeats=1,
+            sweep_ratios=("1:1",)))
+        experiments.run_sweep(cfg, workers=2)
+        assert takes == [cfg.synthetic_n]
+
+    def test_gen_synthetic_draws_every_row_once(self, tmp_path, takes):
+        cfg = ExperimentConfig(synthetic_n=700)
+        experiments.run_gen_synthetic(cfg, str(tmp_path / "s.csv"))
+        assert takes == [700]
 
 
 def _ulb_shaped_source(tmp_path):
@@ -537,12 +575,21 @@ class TestCli:
           "sweep_repeats": 2, "k_clients": 30},
          "sample_count 50, ratio 1:1: cannot split 8 rows into 30 shards"),
     ], ids=["benchmark", "sweep_point"])
-    def test_train_set_smaller_than_k_clients_exit_two(self, tmp_path, capsys, argv,
-                                                       config, message):
+    def test_train_set_smaller_than_k_clients_exit_two(self, tmp_path, capsys, monkeypatch,
+                                                       argv, config, message):
+        # Refused before any model trains: no central fit, and no warning
+        # from scoring one.
+        def no_fit(*args):
+            raise AssertionError("a central model trained before the refusal")
+
+        monkeypatch.setattr(experiments, "_fit_central", no_fit)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         out = tmp_path / "o"
-        rc = cli.main([*argv, "--config", str(cfg), "--out", str(out)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main([*argv, "--config", str(cfg), "--out", str(out)])
+        assert [str(w.message) for w in caught] == []
         assert rc == 2
         assert capsys.readouterr().err == f"data error: {message}\n"
         assert not out.exists()
@@ -848,6 +895,26 @@ class TestCli:
         assert re.search("mlp_central: 204 of 204 test scores are not finite",
                          capsys.readouterr().err)
         assert not (out / "report.csv").exists()
+
+    def test_overflowing_column_exit_two_naming_it(self, tmp_path, capsys):
+        # Its train mean overflows; before, the run exited 3 and blamed the
+        # learning rate for the fit that the column's inf scores broke.
+        gen = np.random.default_rng(2)
+        features = gen.standard_normal((400, 3))
+        features[:, 1] = 1e308
+        labels = np.zeros(400, dtype=np.intp)
+        labels[::10] = 1
+        path = tmp_path / "huge.csv"
+        data.write_csv(data.Dataset(features, labels), path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rounds": 2, "epochs": 2, "k_clients": 3}))
+        out = tmp_path / "o"
+        rc = cli.main(["benchmark", "--data", str(path), "--ratio", "1:9",
+                       "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "data error: feature column 'V2': train mean inf")
+        assert not out.exists()
 
     def test_gen_synthetic_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -59,7 +59,7 @@ def assert_same_reports(reports, expected):
 
 def make_shards(n, k, seed=0, scheme="iid"):
     rng = Rng(seed)
-    ds = data.make_synthetic(n, 0.2, 3.0, 4, rng)
+    ds = data.make_synthetic(n, 0.2, 3.0, 4, rng).materialize()
     return data.partition(ds, k, scheme, rng.split("p")), ds
 
 
@@ -302,7 +302,7 @@ class TestRunRound:
 
     @pytest.mark.parametrize("mode", [FEDAVG, FEDSGD])
     def test_empty_shard_refused_before_round_zero(self, monkeypatch, mode):
-        ds = data.make_synthetic(50, 0.3, 2.0, 3, Rng(0))
+        ds = data.make_synthetic(50, 0.3, 2.0, 3, Rng(0)).materialize()
         empty = Dataset(np.empty((0, 3)), np.empty(0, dtype=np.intp))
         shards = [ClientShard(0, ds), ClientShard(1, empty)]
         config = FedConfig(rounds=1, aggregation_mode=mode,
