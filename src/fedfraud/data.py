@@ -259,11 +259,13 @@ def write_csv(ds: Dataset, path, label_column: str = DEFAULT_LABEL_COLUMN) -> No
 
 
 def standardize(train: Dataset, *others: Dataset) -> tuple[Dataset, ...]:
-    """`train`, then each of `others`, as new Datasets with every feature
-    column centred on train's mean and divided by train's population std (a
-    constant column is only centred). A column whose train mean or std
-    overflows is a DataError naming it: scaled by an infinite std, it would
-    be erased to ±0."""
+    """`train`, then each of `others` (a test set), as new Datasets with
+    every feature column centred on train's mean and divided by train's
+    population std (a constant column is only centred). A column whose train
+    mean or std overflows is a DataError naming it: scaled by an infinite
+    std, it would be erased to ±0. So is a cell of any set that standardizes
+    to a non-finite value: its model's scores could only be refused later,
+    as a diverged fit."""
     if train.n_samples == 0:
         raise DomainError("cannot fit standardizer on an empty dataset")
     with np.errstate(over="ignore", invalid="ignore"):  # refused by name below
@@ -272,17 +274,28 @@ def standardize(train: Dataset, *others: Dataset) -> tuple[Dataset, ...]:
     bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
     if bad.size:
         col = int(bad[0])
-        name = train.feature_names[col] if train.feature_names else f"#{col + 1}"
-        raise DataError(f"feature column {name!r}: train mean {float(mean[col])!r} and std "
-                        f"{float(std[col])!r} must be finite to standardize (a cell is "
-                        "too large)")
+        raise DataError(f"feature column {_column_name(train, col)!r}: train mean "
+                        f"{float(mean[col])!r} and std {float(std[col])!r} must be finite "
+                        "to standardize (a cell is too large)")
     denom = np.where(std > 0.0, std, 1.0)
     out = []
-    for ds in (train, *others):
-        features = ds.features - mean
-        features /= denom
+    for set_name, ds in zip(("train", *["test"] * len(others)), (train, *others)):
+        with np.errstate(over="ignore", invalid="ignore"):  # refused by name below
+            features = ds.features - mean
+            features /= denom
+        bad = np.flatnonzero(~np.isfinite(features).all(axis=0))
+        if bad.size:
+            col = int(bad[0])
+            raise DataError(f"feature column {_column_name(ds, col)!r}: a {set_name} cell "
+                            "standardizes to a non-finite value with the train mean "
+                            f"{float(mean[col])!r} and std {float(std[col])!r} (a cell is "
+                            "too large)")
         out.append(Dataset(features, ds.labels, ds.feature_names))
     return tuple(out)
+
+
+def _column_name(ds: Dataset, col: int) -> str:
+    return ds.feature_names[col] if ds.feature_names else f"#{col + 1}"
 
 
 def stratified_draw(labels: np.ndarray, count, rng: Rng) -> np.ndarray:
@@ -333,6 +346,13 @@ def resample_ratio(labels: np.ndarray, fraud_to_legit: tuple[int, int],
     return idx[rng.split("resample-shuffle").gen.permutation(idx.size)]
 
 
+def check_shardable(n_rows: int, k: int) -> None:
+    """DataError unless `n_rows` rows can be cut into k non-empty client
+    shards: a train set with fewer rows than k cannot serve the run."""
+    if n_rows < k:
+        raise DataError(f"cannot split {n_rows} rows into {k} shards")
+
+
 def partition(train: Dataset, k: int, scheme: str, rng: Rng,
               dirichlet_alpha: float = 0.5) -> list[ClientShard]:
     """Partition rows into k disjoint, non-empty client shards.
@@ -342,12 +362,11 @@ def partition(train: Dataset, k: int, scheme: str, rng: Rng,
     their own Dir_k(dirichlet_alpha) draw, on rng.split("class", c)). A
     Dirichlet tail can leave a shard empty; once the scheme has cut, each
     empty shard takes the last row of the largest one. Fewer than k rows is
-    a DataError: the set cannot serve the run.
+    a DataError (check_shardable).
     """
     if k < 1:
         raise DomainError(f"client count must be >= 1, got {k}")
-    if train.n_samples < k:
-        raise DataError(f"cannot split {train.n_samples} rows into {k} shards")
+    check_shardable(train.n_samples, k)
 
     n = train.n_samples
     if scheme == "iid":

@@ -11,8 +11,10 @@ class DomainError(ValueError):
 
 class DataError(ValueError):
     """Input data cannot serve the run: a dataset file that does not parse or
-    match the schema, a set without both classes, a train set with fewer rows
-    than k_clients, or a sweep whose every sample count is oversized."""
+    match the schema, a feature cell too large to standardize, or a sweep
+    whose every sample count is oversized; or a planned cell (a set without
+    both classes, an mlp_fed train set with fewer rows than k_clients),
+    refused before any row of it is taken or any model trains."""
 
 
 class ConfigError(ValueError):

@@ -235,23 +235,31 @@ def _training_source(cfg: ExperimentConfig) -> datamod.Dataset | datamod.Synthet
     return source
 
 
-def prepare_splits(source, ratio: tuple[int, int], test_fraction: float, rng: Rng):
-    """Resample `source` (load_source's) to `ratio`, hold out a stratified
-    `test_fraction` of the kept rows as the test set, standardize both with
-    train statistics. Returns (train, test), taken from the source in one
-    take call. A set without fraud or legit rows is a DataError: no model
-    can be fitted or scored on it."""
-    rows = datamod.resample_ratio(source.labels, ratio, rng.split("resample"))
-    labels = source.labels[rows]
-    train, test = datamod.stratified_split(labels, test_fraction, rng.split("split"))
-    for name, ids in (("train", train), ("test", test)):
+def plan_cell(labels: np.ndarray, pool: np.ndarray, ratio: tuple[int, int],
+              cfg: ExperimentConfig, name: str, rng: Rng):
+    """Model `name`'s (train ids, test ids), in the source's numbering: the
+    rows `pool` resampled to `ratio`, a stratified cfg.test_fraction of them
+    held out. A set without both classes is a DataError, and so is an
+    mlp_fed train set with fewer rows than cfg.k_clients."""
+    rows = pool[datamod.resample_ratio(labels[pool], ratio, rng.split("resample"))]
+    train, test = (rows[ids] for ids in datamod.stratified_split(
+        labels[rows], cfg.test_fraction, rng.split("split")))
+    for set_name, ids in (("train", train), ("test", test)):
         fraud = int(labels[ids].sum())
         if not 0 < fraud < ids.size:
-            raise DataError(f"{name} set has {fraud} fraud and {ids.size - fraud} legit "
+            raise DataError(f"{set_name} set has {fraud} fraud and {ids.size - fraud} legit "
                             f"rows (ratio {ratio[0]}:{ratio[1]}, test_fraction "
-                            f"{test_fraction}); both classes are needed")
-    taken = source.take(np.concatenate((rows[train], rows[test])))
-    cut = train.size
+                            f"{cfg.test_fraction}); both classes are needed")
+    if name == "mlp_fed":
+        datamod.check_shardable(train.size, cfg.k_clients)
+    return train, test
+
+
+def prepare_splits(source, train_ids: np.ndarray, test_ids: np.ndarray):
+    """The planned cell's rows (plan_cell) of `source` (load_source's), taken
+    in one take call, as (train, test) standardized with train statistics."""
+    taken = source.take(np.concatenate((train_ids, test_ids)))
+    cut = train_ids.size
     return datamod.standardize(
         datamod.Dataset(taken.features[:cut], taken.labels[:cut], taken.feature_names),
         datamod.Dataset(taken.features[cut:], taken.labels[cut:], taken.feature_names))
@@ -264,17 +272,21 @@ def prepare_splits(source, ratio: tuple[int, int], test_fraction: float, rng: Rn
 def train_model(name: str, cfg: ExperimentConfig, cells):
     """Train one model per cell with the settings of `cfg`, score its test
     set and refuse a diverged fit (_check_not_diverged); `cells` is an
-    iterable of (train, test, rng) as _planned gives them for `name`.
+    iterable of (train, test, rng), the pair as prepare_splits gives it.
     Returns one (test scores, test labels, round reports or [], final
     params for mlp_fed else None) per cell.
 
-    mlp_fed trains the cells' federations side by side in one
+    mlp_fed cuts each train set into cfg.k_clients shards as its cell
+    arrives, then trains the federations side by side in one
     federated.run_training call, each on its cell's rng.seed as master seed.
     """
     if name not in BENCHMARK_MODELS:
         raise ConfigError(f"unknown model {name!r}")
     if name == "mlp_fed":
-        cells = list(cells)
+        cells = [(datamod.partition(train, cfg.k_clients, cfg.partition_scheme,
+                                    rng.split("partition"),
+                                    dirichlet_alpha=cfg.dirichlet_alpha), test, rng)
+                 for train, test, rng in cells]
         fits = federated.run_training([shards for shards, _, _ in cells], cfg.fed_config(),
                                       [rng.seed for _, _, rng in cells])
         results = [(models.mlp_forward(params, test.features)[0], test.labels,
@@ -286,19 +298,6 @@ def train_model(name: str, cfg: ExperimentConfig, cells):
     for scores, *_ in results:
         _check_not_diverged(name, scores)
     return results
-
-
-def _planned(name: str, cfg: ExperimentConfig, cells):
-    """Each cell (train, test, rng) of `cells` as train_model takes it for
-    `name`: for mlp_fed, its train set is cut into cfg.k_clients client
-    shards (datamod.partition, on rng.split("partition")) as soon as the
-    cell is drawn, so of a cell only its shards and test set stay held."""
-    for train, test, rng in cells:
-        if name == "mlp_fed":
-            train = datamod.partition(train, cfg.k_clients, cfg.partition_scheme,
-                                      rng.split("partition"),
-                                      dirichlet_alpha=cfg.dirichlet_alpha)
-        yield train, test, rng
 
 
 def _fit_central(name: str, train: datamod.Dataset, cfg: ExperimentConfig, rng: Rng):
@@ -330,17 +329,14 @@ REPORT_COLUMNS = ("model", "auc", "precision", "recall", "f1", "accuracy")
 
 
 def _fmt(v):
-    if isinstance(v, float):
-        return repr(float(v))
-    return str(v)
+    return repr(float(v)) if isinstance(v, float) else str(v)
 
 
 def write_rows_csv(path, header, rows):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def write_report_txt(path, rows):
@@ -373,19 +369,19 @@ def _write_common(cfg: ExperimentConfig):
 # --- runners ----------------------------------------------------------------
 
 def _run_models(cfg: ExperimentConfig, names) -> list[dict]:
-    """Train `names` (mlp_fed among them) on one shared split, then write
-    config.json, report.csv, report.txt, rounds.csv and model_fed.json.
-    Returns the report rows, one per model in the given order. rounds.csv
-    scores each round's global model on the test set at cfg.threshold, as
-    report.csv scores the final models. No source is held past the split,
-    and every model's cell is planned before any model trains, so a train
-    set too small for k_clients is refused first."""
+    """Train `names` (mlp_fed among them) on one shared cell, planned for
+    mlp_fed before any fit, then write config.json, report.csv, report.txt,
+    rounds.csv and model_fed.json. Returns the report rows, one per model in
+    the given order. rounds.csv scores each round's global model on the test
+    set at cfg.threshold, as report.csv scores the final models."""
     rng = Rng(cfg.seed)
-    train, test = prepare_splits(_training_source(cfg), cfg.ratio, cfg.test_fraction, rng)
-    cells = {name: list(_planned(name, cfg, [(train, test, rng)])) for name in names}
+    source = _training_source(cfg)
+    train, test = prepare_splits(source, *plan_cell(
+        source.labels, np.arange(source.n_samples), cfg.ratio, cfg, "mlp_fed", rng))
+    del source  # not held through the fits
     rows = []
     for name in names:
-        [(scores, _, reports, params)] = train_model(name, cfg, cells[name])
+        [(scores, _, reports, params)] = train_model(name, cfg, [(train, test, rng)])
         rows.append({"model": name,
                      **metrics.summarize(scores, test.labels, cfg.threshold)})
         if name == "mlp_fed":
@@ -419,44 +415,48 @@ def run_fed_vs_central(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _sweep_cells(source: datamod.Dataset, cfg: ExperimentConfig,
-                 sample_count: int, ratio_name: str):
-    """The sweep_repeats cells (train, test, rng) of one grid point, each
-    drawn when the consumer asks for it; rng.seed is the cell's seed. A
-    cell's pool is about sample_count rows at the source's class mix (at
-    least one of each class present), by stratified_draw on rng.split("sub")."""
+def _at_point(step, sample_count: int, ratio_name: str, *args):
+    """step(sample_count, ratio_name, *args); its Data/DomainError names the grid point."""
+    try:
+        return step(sample_count, ratio_name, *args)
+    except (DomainError, DataError) as exc:
+        raise type(exc)(f"sample_count {sample_count}, ratio {ratio_name}: {exc}") from exc
+
+
+def _plan_point(sample_count: int, ratio_name: str, labels: np.ndarray,
+                cfg: ExperimentConfig) -> list:
+    """A (train ids, test ids, rng) per repeat of one grid point, rng.seed its
+    seed, planned for cfg.sweep_model on a pool of about sample_count rows at
+    the source's class mix (at least one of each class), drawn on rng.split("sub")."""
     ratio = parse_ratio(ratio_name)
 
     def pool_count(n_c):
-        return min(max(int(round(sample_count * n_c / source.n_samples)), 1), n_c)
+        return min(max(int(round(sample_count * n_c / labels.size)), 1), n_c)
 
-    for rep in range(cfg.sweep_repeats):
-        rng = Rng(cfg.seed + rep).split("sweep", sample_count, ratio_name)
-        pool = datamod.stratified_draw(source.labels, pool_count, rng.split("sub"))
-        train, test = prepare_splits(source.take(pool), ratio, cfg.test_fraction, rng)
-        yield train, test, rng
+    rngs = [Rng(cfg.seed + rep).split("sweep", sample_count, ratio_name)
+            for rep in range(cfg.sweep_repeats)]
+    return [(*plan_cell(labels, datamod.stratified_draw(labels, pool_count, rng.split("sub")),
+                        ratio, cfg, cfg.sweep_model, rng), rng) for rng in rngs]
 
 
-def _sweep_point(source: datamod.Dataset, cfg: ExperimentConfig,
-                 sample_count: int, ratio_name: str) -> list[float]:
-    """The test AUC of each repeat of one grid point, trained in one
-    train_model call. A DomainError or DataError names the grid point."""
-    try:
-        cells = _sweep_cells(source, cfg, sample_count, ratio_name)
-        fits = train_model(cfg.sweep_model, cfg, _planned(cfg.sweep_model, cfg, cells))
-        return [metrics.roc_auc(scores, labels)[1] for scores, labels, _, _ in fits]
-    except (DomainError, DataError) as exc:
-        raise type(exc)(f"sample_count {sample_count}, ratio {ratio_name}: {exc}") from exc
+def _sweep_point(sample_count: int, ratio_name: str, source: datamod.Dataset,
+                 cfg: ExperimentConfig, cells) -> list[float]:
+    """The test AUC of each planned cell of one grid point, its rows taken as
+    the cells arrive, trained in one train_model call."""
+    fits = train_model(cfg.sweep_model, cfg, ((*prepare_splits(source, train, test), rng)
+                                              for train, test, rng in cells))
+    return [metrics.roc_auc(scores, labels)[1] for scores, labels, _, _ in fits]
 
 
 def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
     """Sampling-ratio sensitivity: for each (sample_count, ratio, seed), draw
     a pool of sample_count rows, resample to the ratio, train, record AUC.
     A sample_count larger than the source is skipped with a warning, and a
-    grid where every one is larger is a DataError. The grid points run in
-    up to `workers` forked processes, largest sample_count first
-    (_fork_map); the rows and sweep.csv do not depend on `workers`. Nothing
-    is written until every grid point has trained."""
+    grid where every one is larger is a DataError. Every cell is planned in
+    grid order before any trains; the grid points then train in up to
+    `workers` forked processes, largest sample_count first (_fork_map).
+    Neither the rows nor sweep.csv, written once all have trained, depend
+    on `workers`."""
     source = _training_source(cfg)
     oversized = [n for n in cfg.sweep_sample_counts if n > source.n_samples]
     if len(oversized) == len(cfg.sweep_sample_counts):
@@ -467,13 +467,15 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
                       f"{source.n_samples}; skipping")
     points = [(sample_count, ratio_name) for sample_count in cfg.sweep_sample_counts
               if sample_count not in oversized for ratio_name in cfg.sweep_ratios]
-    # Every row, drawn once here: the grid points take their pools from it,
-    # and forked workers share it.
+    # Every row, drawn once here: the cells take their rows from it, and
+    # forked workers share it.
     source = source.materialize()
+    plans = [_at_point(_plan_point, *point, source.labels, cfg) for point in points]
 
     # Largest first, so that no big point starts last and runs alone.
-    aucs = _fork_map(lambda i: _sweep_point(source, cfg, *points[i]), len(points),
-                     workers, sorted(range(len(points)), key=lambda i: -points[i][0]))
+    aucs = _fork_map(lambda i: _at_point(_sweep_point, *points[i], source, cfg, plans[i]),
+                     len(points), workers,
+                     sorted(range(len(points)), key=lambda i: -points[i][0]))
     _write_common(cfg)
     rows = [{"sample_count": sample_count, "ratio": ratio_name,
              "seed": cfg.seed + rep, "auc": auc}

@@ -490,6 +490,19 @@ class TestStandardizer:
         with pytest.raises(DataError, match=r"feature column '#1': train mean inf"):
             data.standardize(huge)
 
+    def test_non_finite_standardized_cell_refused_naming_column_and_set(self):
+        # Train's mean and std are finite; the test set's huge cell is not
+        # once scaled by that std, and would reach a model as inf.
+        train = data.Dataset(np.array([[1.0, 0.0], [2.0, 0.1], [3.0, 0.2]]),
+                             np.array([0, 1, 0]), ("a", "b"))
+        test = data.Dataset(np.array([[2.0, 0.1], [1.0, -1e308]]), np.array([0, 1]),
+                            ("a", "b"))
+        with pytest.raises(DataError, match=r"^feature column 'b': a test cell standardizes "
+                                            r"to a non-finite value with the train mean "):
+            data.standardize(train, test)
+        [out] = data.standardize(train)
+        assert np.isfinite(out.features).all()
+
     def test_idempotent_normalization(self, imbalanced):
         [once] = data.standardize(imbalanced)
         assert np.max(np.abs(once.features.mean(axis=0))) <= 1e-9

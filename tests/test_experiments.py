@@ -184,12 +184,11 @@ class TestSweep:
         for row in rows:
             cell_cfg = dataclasses.replace(cfg, ratio=parse_ratio(row["ratio"]),
                                            seed=row["seed"], sweep_repeats=1)
-            [(train, test, rng)] = experiments._sweep_cells(
-                source, cell_cfg, row["sample_count"], row["ratio"])
+            [(train, test, rng)] = experiments._plan_point(
+                row["sample_count"], row["ratio"], source.labels, cell_cfg)
             assert rng.seed == row["seed"]
             [(scores, labels, _, _)] = experiments.train_model(
-                "mlp_fed", cell_cfg, experiments._planned("mlp_fed", cell_cfg,
-                                                          [(train, test, rng)]))
+                "mlp_fed", cell_cfg, [(*experiments.prepare_splits(source, train, test), rng)])
             _, auc = metrics.roc_auc(scores, labels)
             assert auc == row["auc"]
 
@@ -216,6 +215,30 @@ class TestSweep:
                                               r"cannot split \d+ rows into 500 shards$"):
             experiments.run_sweep(cfg, workers)
         assert not (Path(cfg.out) / "sweep.csv").exists()
+
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_grid_point_that_cannot_form_refused_before_any_trains(self, tmp_path,
+                                                                   monkeypatch, workers):
+        # The 20-row pool keeps 2 fraud and 2 legit rows at 1:1, too few for
+        # a test set; the 600-row point comes first in a forked run, but no
+        # grid point trains before the refusal.
+        def no_training(*args):
+            raise AssertionError("a grid point trained before the refusal")
+
+        monkeypatch.setattr(experiments, "train_model", no_training)
+        cfg = ExperimentConfig(out=str(tmp_path / "o"), sweep_sample_counts=(600, 20),
+                               sweep_ratios=("1:1",), sweep_repeats=2)
+        with pytest.raises(DataError, match=r"^sample_count 20, ratio 1:1: test set has "
+                                              r"0 fraud and 0 legit rows "):
+            experiments.run_sweep(cfg, workers)
+        assert not (tmp_path / "o").exists()
+
+    def test_k_clients_rule_applies_only_to_mlp_fed(self, tmp_path):
+        cfg = ExperimentConfig(**fast_overrides(
+            tmp_path, sweep_sample_counts=(300, 600), sweep_ratios=("1:1",),
+            sweep_repeats=2, sweep_model="lr", k_clients=5000))
+        assert len(experiments.run_sweep(cfg)) == 2 * 2
 
 
 SWEEP_GRID = dict(sweep_sample_counts=(300, 600, 1200), sweep_ratios=("1:1", "1:100"),
@@ -380,15 +403,20 @@ SWEEP_DIGESTS = [
 ]
 
 
+def _benchmark_cell(source, cfg, rng):
+    """The standardized (train, test) that _run_models plans and takes."""
+    return experiments.prepare_splits(source, *experiments.plan_cell(
+        source.labels, np.arange(source.n_samples), cfg.ratio, cfg, "mlp_fed", rng))
+
+
 class TestSplitStreamsPinned:
-    """prepare_splits' standardized train and test, pinned by digest: a
-    refactor of resampling, splitting or standardizing must keep every
-    stream and every arithmetic step."""
+    """Planned cells' standardized train and test (plan_cell, then
+    prepare_splits), pinned by digest: a refactor of resampling, splitting
+    or standardizing must keep every stream and every arithmetic step."""
 
     def test_ulb_shaped_file_at_1_to_100(self, tmp_path):
         cfg = ExperimentConfig(**fast_overrides(tmp_path, seed=5, ratio=(1, 100)))
-        train, test = experiments.prepare_splits(_ulb_shaped_source(tmp_path), cfg.ratio,
-                                                   cfg.test_fraction, Rng(5))
+        train, test = _benchmark_cell(_ulb_shaped_source(tmp_path), cfg, Rng(5))
         assert (train.n_samples, train.fraud_count) == (4040, 40)
         assert (test.n_samples, test.fraud_count) == (1010, 10)
         assert _split_digests(train, test) == ULB_DIGESTS
@@ -399,16 +427,16 @@ class TestSplitStreamsPinned:
         source = experiments.load_source(cfg)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            train, test = experiments.prepare_splits(source, cfg.ratio, cfg.test_fraction,
-                                                     Rng(2))
+            train, test = _benchmark_cell(source, cfg, Rng(2))
         assert any("keeping all of them" in str(w.message) for w in caught) == warns
         assert _split_digests(train, test) == SYNTHETIC_DIGESTS[ratio]
 
     def test_sweep_pool(self, tmp_path):
         cfg = ExperimentConfig(**fast_overrides(tmp_path, seed=4, sweep_repeats=2))
         source = experiments.load_source(cfg)
-        cells = experiments._sweep_cells(source, cfg, 700, "1:3")
-        digests = [_split_digests(train, test) for train, test, _ in cells]
+        cells = experiments._plan_point(700, "1:3", source.labels, cfg)
+        digests = [_split_digests(*experiments.prepare_splits(source, train, test))
+                   for train, test, _ in cells]
         assert digests == SWEEP_DIGESTS
 
 
@@ -821,8 +849,11 @@ class TestCli:
             sweep_sample_counts=[1000], sweep_repeats=2, rounds=2,
             local_epochs=1, hidden_sizes=[6])))
         out = tmp_path / "o"
-        rc = cli.main(["sweep-sampling", "--seed", "1", "--config", str(path),
-                       "--out", str(out)])
+        # Every cell is planned before the first trains, so the 1:100 point
+        # warns even though the 1:1 point diverges first.
+        with pytest.warns(UserWarning, match="keeping all of them"):
+            rc = cli.main(["sweep-sampling", "--seed", "1", "--config", str(path),
+                           "--out", str(out)])
         assert rc == 3
         assert re.search("mlp_fed: .* diverged", capsys.readouterr().err)
         assert not out.exists()
@@ -914,6 +945,28 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err.startswith(
             "data error: feature column 'V2': train mean inf")
+        assert not out.exists()
+
+    def test_huge_test_cell_exit_two_naming_its_column_and_set(self, tmp_path, capsys):
+        # Row 37 is legit and lands in the test set, so train's mean and std
+        # are finite. Before, its score was inf and the run exited 3 with
+        # "mlp_central: 1 of 80 test scores are not finite".
+        gen = np.random.default_rng(0)
+        features = gen.standard_normal((400, 3)) * 0.1
+        labels = np.zeros(400, dtype=np.intp)
+        labels[gen.choice(400, 40, replace=False)] = 1
+        features[37, 0] = 1e308
+        assert labels[37] == 0
+        path = tmp_path / "huge.csv"
+        data.write_csv(data.Dataset(features, labels, ("a", "b", "c")), path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rounds": 2, "epochs": 2, "k_clients": 3}))
+        out = tmp_path / "o"
+        rc = cli.main(["benchmark", "--data", str(path), "--ratio", "1:9",
+                       "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "data error: feature column 'a': a test cell standardizes to a non-finite value")
         assert not out.exists()
 
     def test_gen_synthetic_deterministic_bytes(self, tmp_path):
