@@ -95,8 +95,9 @@ def _usable_cpus() -> int:
 
 def main(argv=None) -> int:
     """Run one command. Without argv this is the program (`fedfraud` or
-    `python -m fedfraud.cli`), and sweep-sampling trains its grid points in
-    one forked worker per usable CPU. A call from Python with argv runs
+    `python -m fedfraud.cli`), and the training commands train in one
+    forked worker per usable CPU: sweep-sampling its grid points, benchmark
+    and fed-vs-central their models. A call from Python with argv runs
     everything in the calling process: the package forks no process it
     does not own."""
     workers = _usable_cpus() if argv is None else 1
@@ -110,14 +111,14 @@ def main(argv=None) -> int:
             overrides["ratio"] = experiments.parse_ratio(overrides["ratio"])
         cfg = experiments.load_config(args.config, overrides)
         if args.command == "benchmark":
-            rows = experiments.run_benchmark(cfg)
+            rows = experiments.run_benchmark(cfg, workers)
             for row in rows:
                 print(f"{row['model']:>12}  auc={row['auc']:.4f}  f1={row['f1']:.4f}")
         elif args.command == "sweep-sampling":
             rows = experiments.run_sweep(cfg, workers)
             print(f"wrote {len(rows)} sweep rows to {cfg.out}/sweep.csv")
         elif args.command == "fed-vs-central":
-            result = experiments.run_fed_vs_central(cfg)
+            result = experiments.run_fed_vs_central(cfg, workers)
             print(f"central auc={result['central']['auc']:.4f}  "
                   f"federated auc={result['federated']['auc']:.4f}  "
                   f"|delta|={result['auc_delta']:.4f}")

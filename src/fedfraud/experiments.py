@@ -368,24 +368,28 @@ def _write_common(cfg: ExperimentConfig):
 
 # --- runners ----------------------------------------------------------------
 
-def _run_models(cfg: ExperimentConfig, names) -> list[dict]:
+def _run_models(cfg: ExperimentConfig, names: tuple, workers: int = 1) -> list[dict]:
     """Train `names` (mlp_fed among them) on one shared cell, planned for
     mlp_fed before any fit, then write config.json, report.csv, report.txt,
     rounds.csv and model_fed.json. Returns the report rows, one per model in
     the given order. rounds.csv scores each round's global model on the test
-    set at cfg.threshold, as report.csv scores the final models."""
+    set at cfg.threshold, as report.csv scores the final models.
+
+    Each model is one task of _fork_map: with `workers` > 1 the fits run in
+    forked processes that inherit the cell, handed out last model first
+    (mlp_fed, the longest, before the central MLP), and only each fit's
+    train_model result comes back. Neither the rows, the files nor the
+    warnings and refusals shown depend on `workers`."""
     rng = Rng(cfg.seed)
     source = _training_source(cfg)
     train, test = prepare_splits(source, *plan_cell(
         source.labels, np.arange(source.n_samples), cfg.ratio, cfg, "mlp_fed", rng))
     del source  # not held through the fits
-    rows = []
-    for name in names:
-        [(scores, _, reports, params)] = train_model(name, cfg, [(train, test, rng)])
-        rows.append({"model": name,
-                     **metrics.summarize(scores, test.labels, cfg.threshold)})
-        if name == "mlp_fed":
-            fed_reports, fed_params = reports, params
+    fits = _fork_map(lambda i: train_model(names[i], cfg, [(train, test, rng)])[0],
+                     len(names), workers, reversed(range(len(names))))
+    rows = [{"model": name, **metrics.summarize(scores, test.labels, cfg.threshold)}
+            for name, (scores, *_) in zip(names, fits, strict=True)]
+    _, _, fed_reports, fed_params = fits[names.index("mlp_fed")]
     round_metrics = [metrics.summarize(models.mlp_forward(r.params, test.features)[0],
                                        test.labels, cfg.threshold) for r in fed_reports]
 
@@ -398,15 +402,17 @@ def _run_models(cfg: ExperimentConfig, names) -> list[dict]:
     return rows
 
 
-def run_benchmark(cfg: ExperimentConfig) -> list[dict]:
-    """Train all benchmark models on one shared split; write report files."""
-    return _run_models(cfg, BENCHMARK_MODELS)
+def run_benchmark(cfg: ExperimentConfig, workers: int = 1) -> list[dict]:
+    """Train all benchmark models on one shared split, in up to `workers`
+    forked processes; write report files."""
+    return _run_models(cfg, BENCHMARK_MODELS, workers)
 
 
-def run_fed_vs_central(cfg: ExperimentConfig) -> dict:
-    """Same MLP trained centrally and federatedly; report the AUC delta."""
+def run_fed_vs_central(cfg: ExperimentConfig, workers: int = 1) -> dict:
+    """Same MLP trained centrally and federatedly, in up to `workers` forked
+    processes; report the AUC delta."""
     central, fed = ({k: v for k, v in row.items() if k != "model"}
-                    for row in _run_models(cfg, ("mlp_central", "mlp_fed")))
+                    for row in _run_models(cfg, ("mlp_central", "mlp_fed"), workers))
     return {
         "central": central,
         "federated": fed,
@@ -498,17 +504,18 @@ _fork_task = None
 def _fork_map(task, count: int, workers: int, order) -> list:
     """[task(i) for i in range(count)]. With more than one worker and more
     than one task, the tasks run in min(workers, count) forked processes,
-    handed out in `order` (a permutation of the indices). A worker records
-    its task's warnings and returns its exception as a value. The parent
-    re-issues the warnings, then raises the first exception, in index
-    order, so the caller sees what the in-process loop shows. No worker
-    outlives the call."""
+    handed out in `order`, an iterable over a permutation of the indices.
+    A worker records its task's warnings and returns its exception as a
+    value. The parent re-issues the warnings, then raises the first
+    exception, in index order, so the caller sees what the in-process loop
+    shows. No worker outlives the call."""
     if workers <= 1 or count <= 1:
         return [task(i) for i in range(count)]
     # Imported here, so that importing the package does not pay for them.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    order = list(order)  # read twice below; an iterator would be spent by map
     global _fork_task
     _fork_task = task
     try:

@@ -301,15 +301,24 @@ class TestSweepWorkers:
         with pytest.raises(BrokenProcessPool):
             experiments._fork_map(task, 3, 2, [0, 1, 2])
 
+    def test_order_may_be_an_iterator(self):
+        assert experiments._fork_map(lambda i: i * 10, 3, 2, reversed(range(3))) == [0, 10, 20]
+
     def test_only_the_program_passes_workers(self, monkeypatch, tmp_path):
-        seen = []
-        monkeypatch.setattr(experiments, "run_sweep",
-                            lambda cfg, *rest: seen.append(rest) or [])
-        argv = ["sweep-sampling", "--out", str(tmp_path / "o")]
-        assert cli.main(argv) == 0
-        monkeypatch.setattr(sys, "argv", ["fedfraud", *argv])
-        assert cli.main() == 0
-        assert seen == [(1,), (cli._usable_cpus(),)]
+        fed_vs_central = {"central": {"auc": 0.5}, "federated": {"auc": 0.5},
+                          "auc_delta": 0.0}
+        for command, runner, result in (("sweep-sampling", "run_sweep", []),
+                                        ("benchmark", "run_benchmark", []),
+                                        ("fed-vs-central", "run_fed_vs_central",
+                                         fed_vs_central)):
+            seen = []
+            monkeypatch.setattr(experiments, runner,
+                                lambda cfg, *rest: seen.append(rest) or result)
+            argv = [command, "--out", str(tmp_path / "o")]
+            assert cli.main(argv) == 0
+            monkeypatch.setattr(sys, "argv", ["fedfraud", *argv])
+            assert cli.main() == 0
+            assert seen == [(1,), (cli._usable_cpus(),)], command
 
     def test_program_writes_what_main_with_argv_writes(self, tmp_path):
         path = tmp_path / "grid.json"
@@ -328,6 +337,75 @@ class TestSweepWorkers:
             assert cli.main([*argv, str(tmp_path / "main")]) == 0
         assert ((tmp_path / "program" / "sweep.csv").read_bytes()
                 == (tmp_path / "main" / "sweep.csv").read_bytes())
+
+
+REPORTS = ("report.csv", "report.txt", "rounds.csv", "model_fed.json")
+
+
+def _models_at(tmp_path, runner, workers, **extra):
+    """runner(cfg, workers) under warnings.simplefilter("always"): what it
+    returns, the bytes of its report files and the warnings shown."""
+    cfg = ExperimentConfig(**fast_overrides(tmp_path, seed=2, out=str(tmp_path / str(workers)),
+                                            **extra))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = runner(cfg, workers)
+    return (result, [(Path(cfg.out) / name).read_bytes() for name in REPORTS],
+            [(str(w.message), w.category, w.filename, w.lineno) for w in caught])
+
+
+class TestModelWorkers:
+    """With workers, benchmark and fed-vs-central fork their models' fits;
+    what they return, write and warn must be what the in-process run gives."""
+
+    @pytest.mark.parametrize("runner,extra", [
+        (experiments.run_benchmark, {"ratio": (1, 20)}),
+        (experiments.run_fed_vs_central, {"ratio": (1, 20), "partition_scheme": "label_skew"}),
+    ], ids=["benchmark", "fed_vs_central"])
+    def test_two_workers_match_in_process(self, tmp_path, runner, extra):
+        alone = _models_at(tmp_path, runner, 1, **extra)
+        assert any("keeping all of them" in message for message, *_ in alone[2])
+        assert _models_at(tmp_path, runner, 2, **extra) == alone
+
+    def test_program_writes_what_main_with_argv_writes(self, tmp_path):
+        argv = ["benchmark", "--seed", "1", "--config", _fast_cfg(tmp_path), "--out"]
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "fedfraud.cli", *argv, str(tmp_path / "program")],
+            cwd=root, env=dict(os.environ, PYTHONPATH=str(root / "src")),
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert cli.main([*argv, str(tmp_path / "main")]) == 0
+        for name in REPORTS:
+            assert ((tmp_path / "program" / name).read_bytes()
+                    == (tmp_path / "main" / name).read_bytes()), name
+
+    def test_one_worker_starts_no_pool(self, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        cfg = ExperimentConfig(**fast_overrides(tmp_path, seed=1))
+        for runner in (experiments.run_benchmark, experiments.run_fed_vs_central):
+            runner(cfg)
+            runner(cfg, 1)
+            with pytest.raises(AssertionError, match="a pool was started"):
+                runner(cfg, 2)
+
+    def test_refusal_is_the_first_in_roster_order(self, tmp_path):
+        # At this learning rate mlp_central and mlp_fed both diverge. mlp_fed
+        # is handed out first, but the refusal is the first in roster order,
+        # as the in-process loop gives it.
+        cfg = ExperimentConfig(learning_rate=500, synthetic_n=5000, epochs=4, rounds=3,
+                               local_epochs=1, k_clients=3, synthetic_features=5,
+                               hidden_sizes=(6,), seed=1, out=str(tmp_path / "o"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DomainError, match="^mlp_central: 204 of 204 test scores "
+                                                  "are not finite; "):
+                experiments.run_benchmark(cfg, 2)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not (tmp_path / "o").exists()
 
 
 def _split_digests(train, test):
@@ -804,7 +882,7 @@ class TestCli:
 
     def test_runtime_error_without_a_message_names_its_class(self, tmp_path, monkeypatch,
                                                              capsys):
-        def fail(cfg):
+        def fail(cfg, *rest):
             raise RuntimeError()
 
         monkeypatch.setattr(experiments, "run_benchmark", fail)
