@@ -376,9 +376,9 @@ def _run_models(cfg: ExperimentConfig, names: tuple, workers: int = 1) -> list[d
     set at cfg.threshold, as report.csv scores the final models.
 
     Each model is one task of _fork_map: with `workers` > 1 the fits run in
-    forked processes that inherit the cell, handed out last model first
-    (mlp_fed, the longest, before the central MLP), and only each fit's
-    train_model result comes back. Neither the rows, the files nor the
+    forked processes that inherit the cell, handed out last model first, so
+    that two workers start the two MLP fits side by side, and only each
+    fit's train_model result comes back. Neither the rows, the files nor the
     warnings and refusals shown depend on `workers`."""
     rng = Rng(cfg.seed)
     source = _training_source(cfg)
