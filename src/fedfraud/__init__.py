@@ -1,19 +1,3 @@
 """Simulated federated training of financial-fraud classifiers."""
 
-from .data import ClientShard, Dataset
-from .federated import FedConfig, RoundReport, run_training
-from .models import DecisionTree, LogisticRegression, MlpClassifier, MlpHyperparams
-
-__all__ = [
-    "ClientShard",
-    "Dataset",
-    "DecisionTree",
-    "FedConfig",
-    "LogisticRegression",
-    "MlpClassifier",
-    "MlpHyperparams",
-    "RoundReport",
-    "run_training",
-]
-
 __version__ = "0.1.0"

@@ -11,8 +11,6 @@ import os
 import sys
 import time
 
-from . import experiments
-from .data import PARTITION_SCHEMES
 from .errors import ConfigError, DataError
 
 
@@ -39,6 +37,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .data import PARTITION_SCHEMES  # loads numpy; see main
+
     parser = _Parser(
         prog="fedfraud",
         description="Simulated federated training of fraud classifiers.",
@@ -97,9 +97,19 @@ def main(argv=None) -> int:
     """Run one command. Without argv this is the program (`fedfraud` or
     `python -m fedfraud.cli`), and the training commands train in one
     forked worker per usable CPU: sweep-sampling its grid points, benchmark
-    and fed-vs-central their models. A call from Python with argv runs
-    everything in the calling process: the package forks no process it
-    does not own."""
+    and fed-vs-central their models. Those workers are the program's only
+    parallelism: it runs numpy on one BLAS thread unless the caller has set
+    OPENBLAS_NUM_THREADS. A call from Python with argv runs everything in
+    the calling process, with the caller's BLAS settings: the package forks
+    no process it does not own."""
+    if argv is None:
+        # Every matmul here is too small to gain from BLAS threads, which
+        # would spin in each forked worker. OpenBLAS reads this once, when
+        # numpy first loads, so neither this module's imports nor anything
+        # above this line may load numpy.
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    from . import experiments
+
     workers = _usable_cpus() if argv is None else 1
     args = build_parser().parse_args(argv)
     # Every other flag's dest is the config field it overrides.

@@ -164,7 +164,7 @@ _SIDECAR_TAG = b"fedfraud-table-1"
 def _sidecar_and_key(fh, path, label_column: str):
     """The sidecar path and table key of the regular file open as `fh`, whose
     bytes are hashed and `fh` rewound; (None, None) for any other input."""
-    import hashlib  # here, so that importing the package does not pay for it
+    import hashlib  # here, so that a run on synthetic data does not pay for it
     if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
         return None, None
     digest = hashlib.sha256()

@@ -511,7 +511,7 @@ def _fork_map(task, count: int, workers: int, order) -> list:
     shows. No worker outlives the call."""
     if workers <= 1 or count <= 1:
         return [task(i) for i in range(count)]
-    # Imported here, so that importing the package does not pay for them.
+    # Imported here, so that an in-process run does not pay for them.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
@@ -559,13 +559,15 @@ def _run_forked(i: int):
 
 def run_gen_synthetic(cfg: ExperimentConfig, path: str) -> datamod.Dataset:
     """Draw the synthetic source and write it to the CSV `path`, creating
-    its missing parent folders. A `path` that is empty, a directory, or
-    under an existing non-directory is refused before anything is drawn."""
+    its missing parent folders. A `path` that is empty, a directory (an
+    existing one, or one that its last component names: `new/`, `new/.`),
+    or under an existing non-directory is refused before anything is
+    drawn."""
     if not path:
         raise ConfigError("--output: must not be empty, got ''")
-    if os.path.isdir(path):
-        raise ConfigError(f"--output: {path!r} is a directory")
     _refuse_unless_under_a_directory("--output", os.path.dirname(path))
+    if os.path.isdir(path) or os.path.basename(path) in ("", ".", ".."):
+        raise ConfigError(f"--output: {path!r} is a directory")
     source = load_source(dataclasses.replace(cfg, data=None))
     if cfg.label_column in source.feature_names:
         raise ConfigError(f"label_column: {cfg.label_column!r} names a feature "

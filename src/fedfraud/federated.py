@@ -39,16 +39,6 @@ from .numeric import Rng
 FEDAVG = "fedavg_params"
 FEDSGD = "fedsgd_gradients"
 
-# Rows per forward pass in a FedAvg client's local-loss pass. A whole-shard
-# matmul on a large shard is big enough for OpenBLAS to hand to its worker
-# threads, which then spin for about 0.1 s; with such a client in every few
-# rounds they spin through the whole round loop, so CPU time would hinge on
-# the largest shard. 1024 rows times a 30 x 16 layer stay on one thread (under
-# twice OpenBLAS's 2^18 multiply-adds per thread). The loss may differ from a
-# whole-shard pass in its last bits; the payload does not depend on it.
-# FedSGD's gradient sums over the whole shard and is not split.
-LOSS_BLOCK_ROWS = 1024
-
 
 @dataclass
 class FedConfig:
@@ -88,13 +78,11 @@ def local_update(shard: ClientShard, params: MlpParams, mode: str):
     local training (client_results) and the payload is its parameters.
     """
     ds = shard.data
+    probs, activations = mlp_forward(params, ds.features)
+    loss = mlp_loss(probs, ds.labels)
     if mode == FEDSGD:
-        probs, caches = mlp_forward(params, ds.features)
-        return (mlp_backward(params, caches, ds.labels), ds.n_samples,
-                mlp_loss(probs, ds.labels))
-    probs = np.concatenate([mlp_forward(params, ds.features[i:i + LOSS_BLOCK_ROWS])[0]
-                            for i in range(0, max(ds.n_samples, 1), LOSS_BLOCK_ROWS)])
-    return params.as_vector(), ds.n_samples, mlp_loss(probs, ds.labels)
+        return mlp_backward(params, activations, ds.labels), ds.n_samples, loss
+    return params.as_vector(), ds.n_samples, loss
 
 
 def client_results(shards: list[list[ClientShard]],

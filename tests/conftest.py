@@ -1,4 +1,5 @@
 import multiprocessing
+import os
 
 import pytest
 from hypothesis import settings
@@ -16,3 +17,16 @@ def no_child_process_left():
     pool that was never joined."""
     yield
     assert multiprocessing.active_children() == []
+
+
+@pytest.fixture(autouse=True)
+def blas_threads_env_restored():
+    """cli.main() without argv is the program, and sets OPENBLAS_NUM_THREADS
+    when it is unset. Restore the suite's value, so that the subprocesses of
+    later tests do not inherit it."""
+    before = os.environ.get("OPENBLAS_NUM_THREADS")
+    yield
+    if before is None:
+        os.environ.pop("OPENBLAS_NUM_THREADS", None)
+    else:
+        os.environ["OPENBLAS_NUM_THREADS"] = before

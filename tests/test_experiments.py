@@ -586,6 +586,91 @@ print(json.dumps({'missing': missing, 'runs': runs}))
             assert "models.sgd_steps" in run["metrics"], command
 
 
+BLAS_PROBE = """
+import json, os, sys
+from fedfraud import cli
+numpy_on_import = "numpy" in sys.modules
+argv = ["gen-synthetic", "--n", "10", "--output", sys.argv[2]]
+if sys.argv[1] == "program":
+    sys.argv = ["fedfraud", *argv]
+    rc = cli.main()
+else:
+    rc = cli.main(argv)
+threads = None
+if sys.platform.startswith("linux"):
+    with open("/proc/self/status", encoding="utf-8") as fh:
+        threads = next(int(line.split()[1]) for line in fh if line.startswith("Threads:"))
+print(json.dumps([rc, numpy_on_import, os.environ.get("OPENBLAS_NUM_THREADS"), threads]))
+"""
+
+
+def _without_blas_threads_env(**extra):
+    """This process's environment without OPENBLAS_NUM_THREADS, with src on
+    PYTHONPATH and `extra` added."""
+    root = Path(__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return {**env, "PYTHONPATH": str(root / "src"), **extra}
+
+
+def _blas_probe(tmp_path, how, **env):
+    """BLAS_PROBE run as `how` ("program": cli.main() with sys.argv set;
+    else cli.main(argv)) in a new interpreter: whether importing fedfraud.cli
+    loaded numpy, then OPENBLAS_NUM_THREADS and the process's thread count
+    (None off Linux) after a tiny gen-synthetic."""
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", BLAS_PROBE, how, str(tmp_path / "s.csv")],
+                          cwd=root, env=_without_blas_threads_env(**env),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    rc, numpy_on_import, value, threads = json.loads(proc.stdout.splitlines()[-1])
+    assert rc == 0
+    return numpy_on_import, value, threads
+
+
+LINUX = sys.platform.startswith("linux")
+
+
+class TestProgramBlasThreads:
+    """Run as a program, fedfraud's only parallelism is its forked workers:
+    numpy runs on one BLAS thread unless the caller set OPENBLAS_NUM_THREADS.
+    Called as cli.main(argv), it keeps the caller's BLAS settings."""
+
+    def test_importing_the_cli_loads_no_numpy(self, tmp_path):
+        assert _blas_probe(tmp_path, "argv")[0] is False
+
+    def test_program_runs_one_blas_thread(self, tmp_path):
+        assert _blas_probe(tmp_path, "program")[1:] == ("1", 1 if LINUX else None)
+
+    def test_program_keeps_the_callers_value(self, tmp_path):
+        _, value, threads = _blas_probe(tmp_path, "program", OPENBLAS_NUM_THREADS="2")
+        assert value == "2"
+        if LINUX and len(os.sched_getaffinity(0)) >= 2:  # OpenBLAS caps it at the CPUs
+            assert threads == 2
+
+    def test_main_with_argv_sets_nothing(self, tmp_path):
+        assert _blas_probe(tmp_path, "argv")[1] is None
+
+    def test_report_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # FedAvg shards of 1 152 rows and a 1 440-row test set: the clients'
+        # loss passes and the scoring are matmuls that OpenBLAS splits over
+        # its threads.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"synthetic_n": 8000, "synthetic_features": 30,
+                                   "ratio": [1, 8], "rounds": 2, "epochs": 1,
+                                   "local_epochs": 1}))
+        root = Path(__file__).resolve().parents[1]
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "fedfraud.cli", "fed-vs-central", "--seed", "1",
+                 "--config", str(cfg), "--out", str(tmp_path / threads)],
+                cwd=root, env=_without_blas_threads_env(OPENBLAS_NUM_THREADS=threads),
+                capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+        for name in REPORTS:
+            assert ((tmp_path / "1" / name).read_bytes()
+                    == (tmp_path / "2" / name).read_bytes()), name
+
+
 class TestCli:
     def test_benchmark_exit_zero(self, tmp_path, capsys):
         rc = cli.main(["benchmark", "--seed", "1", "--out", str(tmp_path / "o"),
@@ -743,7 +828,10 @@ class TestCli:
         ("", "--output: must not be empty, got ''"),
         (os.path.join("f", "s.csv"), "--output: 'f' exists and is not a directory"),
         (os.path.join("f", "sub", "s.csv"), "--output: 'f' exists and is not a directory"),
-    ], ids=["empty", "under_a_file", "under_a_missing_dir_under_a_file"])
+        (os.path.join("new", ""), f"--output: {os.path.join('new', '')!r} is a directory"),
+        (os.path.join("new", "."), f"--output: {os.path.join('new', '.')!r} is a directory"),
+    ], ids=["empty", "under_a_file", "under_a_missing_dir_under_a_file",
+            "trailing_separator", "dot"])
     def test_gen_synthetic_unusable_output_exit_one_before_drawing(
             self, tmp_path, monkeypatch, capsys, output, message):
         monkeypatch.chdir(tmp_path)

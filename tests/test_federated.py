@@ -152,8 +152,8 @@ class TestLocalUpdate:
                 assert n_k == ref_n
                 assert np.array_equal(loss, ref_loss)
 
-    def test_fedavg_loss_pass_is_row_blocked(self, monkeypatch):
-        n = 2 * federated.LOSS_BLOCK_ROWS + 37
+    def test_fedavg_loss_pass_is_one_whole_shard_forward(self, monkeypatch):
+        n = 2085
         gen = np.random.default_rng(6)
         shard = ClientShard(0, Dataset(gen.normal(size=(n, 4)), gen.integers(0, 2, n)))
         params = init_mlp_params(4, (3,), Rng(6))
@@ -165,10 +165,10 @@ class TestLocalUpdate:
 
         monkeypatch.setattr(federated, "mlp_forward", forward)
         vec, n_k, loss = local_update(shard, params, FEDAVG)
-        assert rows == [federated.LOSS_BLOCK_ROWS, federated.LOSS_BLOCK_ROWS, 37]
+        assert rows == [n]
         assert np.array_equal(vec, params.as_vector()) and n_k == n
-        whole = mlp_loss(mlp_forward(params, shard.data.features)[0], shard.data.labels)
-        assert loss == pytest.approx(whole, rel=1e-12)
+        assert loss == mlp_loss(mlp_forward(params, shard.data.features)[0],
+                                shard.data.labels)
 
     def test_local_loss_decreases_over_epochs(self):
         shards, _ = make_shards(300, 1, seed=4)
