@@ -3,14 +3,15 @@
 import numpy as np
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
+def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic function 1/(1+e^-z), branch form that never overflows.
 
-    Elementwise on an array of any shape; the result has z's shape.
+    Elementwise on an array of any shape; the result has z's shape and is
+    written into `out` when given (which may be z itself).
     """
     z = np.asarray(z, dtype=np.float64)
     e = np.exp(-np.abs(z))             # exp(-z) for z >= 0, exp(z) below; <= 1
-    return np.where(z >= 0.0, 1.0, e) / (1.0 + e)
+    return np.divide(np.where(z >= 0.0, 1.0, e), 1.0 + e, out=out)
 
 
 # --- decision-tree split search ---------------------------------------------

@@ -4,11 +4,12 @@
 All three expose fit / predict_proba, which gives fraud probabilities in
 [0, 1]; turning them into labels at a threshold is metrics.confusion's job.
 
-The MLP has one forward body (_forward) and one backward body (_backward).
-Prediction and the FedSGD gradient (mlp_forward, mlp_backward) and every
-SGD step (sgd_step, on a K-stack) go through them, and one epoch loop
-(sgd_epoch) trains both a central model, as a stack of one, and a round's
-FedAvg clients.
+The MLP has one forward body (_forward) and one backward body (_backward),
+and they read a layer's views from a _Step. Prediction and the FedSGD
+gradient (mlp_forward, mlp_backward) and sgd_step use a step once; one
+epoch loop (sgd_epoch) keeps a step per stack slice for the epoch, and
+trains both a central model, as a stack of one, and a round's FedAvg
+clients.
 """
 
 from __future__ import annotations
@@ -98,10 +99,45 @@ def init_mlp_params(input_dim: int, hidden_sizes, rng: Rng) -> MlpParams:
     return MlpParams(layer_sizes, layers)
 
 
-def _forward(layers, x):
+class _Step:
+    """An SGD step on a stack of K models (or a pass of one model, whose
+    layers are 2-D) and the arrays it reuses: per layer, the weight, bias
+    and transposed-weight views of the layer and the weight and bias views
+    of its gradient array, which _backward fills through out=. A step does
+    not depend on the batch's row count.
+
+    sgd_epoch keeps one step per stack slice lo:hi for the whole epoch, and
+    in `batches` that step's x_block / y_block views by (gather offset, batch
+    rows), so a batch position builds no views. Prediction, the FedSGD
+    gradient and sgd_step use a step once.
+    """
+
+    # Slots and one tuple per layer keep a step built for one batch (a
+    # ragged last batch) about as cheap as making its views inline.
+    __slots__ = ("layers", "grads", "views", "batches")
+
+    def __init__(self, layers):
+        self.layers = layers
+        self.grads = [np.empty(layer.shape) for layer in layers]
+        self.views = []
+        for layer, grad in zip(layers, self.grads):
+            w = layer[..., :-1, :]
+            self.views.append((w, layer[..., -1:, :], w.mT, grad[..., :-1, :], grad[..., -1, :]))
+        self.batches = {}
+
+    def __call__(self, x, y, lr) -> None:
+        """_forward and _backward on x (K, b, d) and y (K, b, 1), then
+        `-= lr * grad` on each layer, in place."""
+        for layer, grad in zip(self.layers, _backward(self, _forward(self, x), y)):
+            grad *= lr
+            layer -= grad
+
+
+def _forward(step, x):
     """The MLP forward pass: its activations, where activations[0] is x,
     activations[i] is the input to layer i (a hidden ReLU is done in place
-    on its matmul result) and activations[-1] is the sigmoid output.
+    on its matmul result) and activations[-1] is the sigmoid output, also
+    done in place.
 
     One model: x is (b, d) and layers[i] is (fan_in + 1, fan_out), weight
     rows then bias row. A stack of K: x is (K, b, d) and layers[i] is
@@ -110,32 +146,32 @@ def _forward(layers, x):
     bit-identical to a one-model pass on its rows.
     """
     activations = [x]
-    last = len(layers) - 1
-    for i, layer in enumerate(layers):
-        z = activations[-1] @ layer[..., :-1, :]
-        z += layer[..., -1:, :]
-        activations.append(kernels.sigmoid(z) if i == last else np.maximum(z, 0.0, out=z))
+    last = len(step.views) - 1
+    for i, (w, b, _, _, _) in enumerate(step.views):
+        z = activations[-1] @ w
+        np.add(z, b, out=z)
+        activations.append(kernels.sigmoid(z, out=z) if i == last
+                           else np.maximum(z, 0.0, out=z))
     return activations
 
 
-def _backward(layers, activations, y):
-    """The MLP backward pass: the gradient of the mean BCE loss over the rows
-    of y, one array per layer in _forward's layout. Reads the activations,
-    never writes them."""
+def _backward(step, activations, y):
+    """The MLP backward pass: step.grads, the gradient of the mean BCE loss
+    over the rows of y (..., rows, 1), one array per layer in _forward's
+    layout. Reads the activations, never writes them."""
     # Sigmoid + BCE collapse: dL/dz_out = (p - y) / rows. The subtraction
     # makes a new array, so the in-place ops below leave the activations intact.
-    delta = activations[-1] - y[..., None]
-    delta /= y.shape[-1]
-    grads = [None] * len(layers)
-    for i in range(len(layers) - 1, -1, -1):
-        g = grads[i] = np.empty_like(layers[i])
-        np.matmul(activations[i].mT, delta, out=g[..., :-1, :])
-        delta.sum(axis=-2, out=g[..., -1, :])
+    delta = activations[-1] - y
+    delta /= y.shape[-2]
+    for i in range(len(step.views) - 1, -1, -1):
+        _, _, w_t, grad_w, grad_b = step.views[i]
+        np.matmul(activations[i].mT, delta, out=grad_w)
+        np.add.reduce(delta, axis=-2, out=grad_b)
         if i > 0:
-            delta = delta @ layers[i][..., :-1, :].mT
+            delta = delta @ w_t
             # ReLU'(z) read off its output: max(z, 0) > 0 iff z > 0 (NaN, -0.0 too).
             delta *= activations[i] > 0.0
-    return grads
+    return step.grads
 
 
 def _rows(features, n_features: int) -> np.ndarray:
@@ -150,7 +186,7 @@ def _rows(features, n_features: int) -> np.ndarray:
 
 def mlp_forward(params: MlpParams, x: np.ndarray):
     """Forward pass; returns (fraud probabilities, activations for mlp_backward)."""
-    activations = _forward(params.layers, _rows(x, params.layer_sizes[0]))
+    activations = _forward(_Step(params.layers), _rows(x, params.layer_sizes[0]))
     return activations[-1][:, 0], activations
 
 
@@ -170,30 +206,33 @@ def mlp_backward(params: MlpParams, activations, labels: np.ndarray) -> np.ndarr
     n = activations[0].shape[0]
     if labels.size != n:
         raise ShapeError(f"{labels.size} labels for activations of {n} rows")
-    return MlpParams(params.layer_sizes,
-                     _backward(params.layers, activations, labels)).as_vector()
+    return MlpParams(params.layer_sizes, _backward(_Step(params.layers), activations,
+                                                   labels[:, None])).as_vector()
 
 
 def sgd_step(layers, x, y, lr) -> None:
     """One in-place mini-batch SGD step on a stack of K models: _forward and
     _backward on x (K, b, d) and y (K, b), then `-= lr * grad` on each
-    layers[i]."""
-    for layer, grad in zip(layers, _backward(layers, _forward(layers, x), y)):
-        grad *= lr
-        layer -= grad
+    layers[i]. It is a _Step used once."""
+    _Step(layers)(x, y[..., None], lr)
 
 
 def sgd_epoch(params: MlpParams, ds: Dataset | DatasetStack, hp: MlpHyperparams,
               rng) -> None:
-    """One epoch of mini-batch SGD (sgd_step) over a random permutation of
-    each member of a DatasetStack. Works in place on params.layers and
-    returns nothing; `ds` is only read.
+    """One epoch of mini-batch SGD over a random permutation of each member
+    of a DatasetStack. Works in place on params.layers and returns nothing;
+    `ds` is only read.
 
     For a stack of K members, params holds K-stacked layers (as sgd_step
     takes them) and `rng` is a sequence of K Rngs. Entry k trains on member
     k in the order of rng[k].gen.permutation, and all entries train in
-    lockstep: at each batch position one stacked sgd_step serves every
-    member with the same batch size. A single Dataset with one model's
+    lockstep: at each batch position one stacked step serves every member
+    with the same batch size. Those members are a range lo:hi of the stack.
+    The epoch builds one _Step per range it meets, on lo:hi views of the
+    layers, and runs every later batch of that range through it and its
+    cached batch views, so a position makes no views and no gradient
+    arrays. It regroups the members only at a position where one of them
+    has less than a full batch left. A single Dataset with one model's
     params and one Rng is the one-member case: it trains on [None] views of
     the params' arrays, so the updates land in them.
     """
@@ -220,31 +259,37 @@ def sgd_epoch(params: MlpParams, ds: Dataset | DatasetStack, hp: MlpHyperparams,
     # next GATHER_BLOCK batches of rows, in permutation order, into its entry.
     block = GATHER_BLOCK * hp.batch_size
     x_block = np.empty((len(members), min(block, sizes[0]), features[0].shape[1]))
-    y_block = np.empty(x_block.shape[:2])
+    y_block = np.empty(x_block.shape[:2] + (1,))
+    steps, groups = {}, []
     for start in range(0, sizes[0], hp.batch_size):
         offset = start % block
         # Members with rows left are a prefix; those sharing a batch size
-        # are a contiguous range of it, and train on views of the stack.
-        batch_sizes = [min(hp.batch_size, n - start) for n in sizes if n > start]
+        # are a contiguous range lo:hi of it, which one _Step serves. The
+        # groups hold until the last member with rows left runs short.
+        if not groups or sizes[groups[-1][2] - 1] < start + hp.batch_size:
+            batch_sizes = [min(hp.batch_size, n - start) for n in sizes if n > start]
+            groups, lo = [], 0
+            for size, same in itertools.groupby(batch_sizes):
+                hi = lo + len(list(same))
+                step = steps.get((lo, hi))
+                if step is None:
+                    step = steps[lo, hi] = _Step([layer[lo:hi] for layer in params.layers])
+                groups.append((step, lo, hi, size))
+                lo = hi
         if offset == 0:
-            for k in range(len(batch_sizes)):
+            for k in range(groups[-1][2]):
                 rows = orders[k][start:start + block]
                 # The rows are a permutation slice, always in range; "clip"
                 # lets take write into out without a buffer.
                 np.take(features[k], rows, axis=0, out=x_block[k, :rows.size],
                         mode="clip")
-                y_block[k, :rows.size] = labels[k][rows]
-        lo = 0
-        for size, same in itertools.groupby(batch_sizes):
-            hi = lo + len(list(same))
-            # A group that is the whole stack (always, for one member) steps
-            # on the params themselves: slicing every layer per step costs
-            # a few percent of a central MLP fit.
-            whole = hi - lo == len(members)
-            sgd_step(params.layers if whole else [layer[lo:hi] for layer in params.layers],
-                     x_block[lo:hi, offset:offset + size],
-                     y_block[lo:hi, offset:offset + size], hp.learning_rate)
-            lo = hi
+                y_block[k, :rows.size, 0] = labels[k][rows]
+        for step, lo, hi, size in groups:
+            batch = step.batches.get((offset, size))
+            if batch is None:
+                batch = step.batches[offset, size] = (x_block[lo:hi, offset:offset + size],
+                                                      y_block[lo:hi, offset:offset + size])
+            step(*batch, hp.learning_rate)
 
 
 class MlpClassifier:

@@ -68,6 +68,17 @@ class TestSigmoid:
         flat = kernels.sigmoid(np.ascontiguousarray(z).ravel())
         assert np.array_equal(out, flat.reshape(z.shape))
 
+    def test_in_place_bit_identical(self):
+        # The MLP's output layer takes its sigmoid in place, on its matmul result.
+        special = [0.0, -0.0, np.inf, -np.inf, 1e-320, -1e-320, 745.2, -745.2]
+        z = np.concatenate([special, np.random.default_rng(4).normal(
+            scale=50.0, size=160 - len(special))]).reshape(5, 32, 1)
+        want = kernels.sigmoid(z)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert kernels.sigmoid(z, out=z) is z
+        assert np.array_equal(z.view(np.int64), want.view(np.int64))
+
 
 def split_root(X, y, min_leaf):
     """best_split over all rows of X, presorted as DecisionTree.fit does."""

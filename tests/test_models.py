@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from fedfraud import kernels, metrics, models
 from fedfraud.data import Dataset, DatasetStack
 from fedfraud.errors import DomainError, ShapeError
-from fedfraud.models import (MlpHyperparams, MlpParams, init_mlp_params,
+from fedfraud.models import (GATHER_BLOCK, MlpHyperparams, MlpParams, init_mlp_params,
                              mlp_backward, mlp_forward, mlp_loss, sgd_epoch)
 from fedfraud.numeric import Rng
 
@@ -357,12 +357,51 @@ class TestSgd:
         assert np.array_equal(ds.features, X_before)
         assert np.array_equal(ds.labels, y_before)
 
+    def test_stack_epochs_bit_identical_to_one_member_reference(self, monkeypatch):
+        # A 3-member stack trained 3 epochs, each member checked bit for bit
+        # against reference_sgd_epoch on that member alone, so every step the
+        # epoch keeps and reruns must leave no state behind. Batch size 4:
+        # member 0 has 87 rows, more than GATHER_BLOCK batches; its 3-row
+        # last batch sits at the gather offset (20) where it took 4 rows in
+        # the first block. Members 1 and 2 end on 2- and 1-row batches.
+        # Position 20 steps members 0 and 1 apart, two width-1 groups of 4
+        # and 2 rows.
+        sizes, bs, hidden = (87, 22, 9), 4, (4, 3)
+        assert sizes[0] > GATHER_BLOCK * bs
+        gen = Rng(31).gen
+        members = tuple(Dataset(gen.normal(size=(n, 5)),
+                                (gen.uniform(size=n) < 0.3).astype(np.intp)) for n in sizes)
+        alone = [init_mlp_params(5, hidden, Rng(40 + k)) for k in range(3)]
+        stacked = MlpParams(alone[0].layer_sizes,
+                            [np.stack(ls) for ls in zip(*(p.layers for p in alone))])
+        hp = MlpHyperparams(hidden_sizes=hidden, learning_rate=0.3, batch_size=bs)
+        shapes = []
+        call = models._Step.__call__
+
+        def recording_call(step, x, y, lr):
+            shapes.append(x.shape[:2])
+            call(step, x, y, lr)
+
+        monkeypatch.setattr(models._Step, "__call__", recording_call)
+        for e in range(3):
+            sgd_epoch(stacked, DatasetStack(members), hp,
+                      [Rng(9).split("client", k, "epoch", e) for k in range(3)])
+            for k, (member, params) in enumerate(zip(members, alone)):
+                reference_sgd_epoch(params, member, hp, Rng(9).split("client", k, "epoch", e))
+            for k, params in enumerate(alone):
+                for layer, want in zip(stacked.layers, params.layers):
+                    assert np.array_equal(layer[k].view(np.int64), want.view(np.int64))
+        assert shapes[:8] == [(3, 4), (3, 4), (2, 4), (1, 1), (2, 4), (2, 4), (1, 4), (1, 2)]
+        assert shapes[-1] == (1, 3) and len(shapes) == 3 * 24
+
     @staticmethod
     def _recorded_rows(monkeypatch, sizes, batch_size, rngs):
-        """Each sgd_step's batch rows, one list per stack entry of the step,
-        from a one-feature dataset whose feature is its row index."""
+        """Each step's batch rows, one list per stack entry of the step, from
+        a one-feature dataset whose feature is its row index. The epoch runs
+        every batch through a per-slice models._Step, so its call is what
+        records them."""
         steps = []
-        monkeypatch.setattr(models, "sgd_step", lambda layers, x, y, lr: steps.append(
+        monkeypatch.setattr(models._Step, "__call__", lambda step, x, y, lr: steps.append(
             [row.astype(int).tolist() for row in x[:, :, 0]]))
         members = tuple(Dataset(np.arange(n, dtype=float).reshape(n, 1), np.arange(n) % 2)
                         for n in sizes)
